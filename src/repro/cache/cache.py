@@ -7,12 +7,21 @@ replacement produces an *eviction* event, and both carry the physical slot
 
 Performance notes (this is the simulation hot loop):
 
-* The LRU path keeps each set as a pair of plain Python lists ordered
-  most-recent-first — ``list.index`` / ``pop`` / ``insert`` on a ≤16-element
-  list are single C calls, far faster than per-access numpy scalar work.
-* :meth:`access_batch` processes a numpy array of block addresses in one
-  Python loop and returns event arrays, so callers (signature unit, timing
-  model) stay fully vectorised.
+* All state is set-major: ``(num_sets, ways)`` int64 matrices of tags
+  (-1 marks an invalid line) and of the core that filled each line, plus,
+  under LRU, the policy's per-line recency stamps. Every query is one
+  numpy expression over those matrices.
+* LRU :meth:`access_batch` runs in *rounds*: round *r* holds each set's
+  *r*-th reference of the batch, so the sets of one round are distinct and
+  the round is one vectorised step (gather the set rows, find each hit
+  way or victim with one ``argmin``, write tags and stamps). A batch whose
+  references all fall in distinct sets is a single round. Stamps are the
+  references' positions on a global clock, so rounds reproduce strictly
+  sequential LRU exactly; the event arrays are reassembled in access
+  order and the filled lines' owners written once per batch.
+* Random and tree-PLRU replacement walk the batch one reference at a time
+  over the same matrices: the random policy must draw its victims in
+  reference order.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.replacement import make_policy
+from repro.cache.replacement import LRUPolicy, make_policy
 from repro.cache.stats import CacheStats
 from repro.errors import ConfigurationError
 from repro.utils.validation import require_positive
@@ -86,20 +95,13 @@ class SetAssociativeCache:
         self.num_sets = g.num_sets
         self.ways = g.ways
         self._set_mask = self.num_sets - 1
-        # MRU-first block lists and aligned physical-way / owner lists.
-        self._blocks: List[List[int]] = [[] for _ in range(self.num_sets)]
-        self._wayids: List[List[int]] = [[] for _ in range(self.num_sets)]
-        self._owners: List[List[int]] = [[] for _ in range(self.num_sets)]
-        self._lru = config.replacement == "lru"
-        if self._lru:
-            self._policy = None
-        else:
-            self._policy = make_policy(
-                config.replacement, self.num_sets, self.ways, seed=seed
-            )
-            # Generic path keeps a dense tag array: -1 = invalid.
-            self._tags = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
-            self._tag_owner = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
+        self._policy = make_policy(
+            config.replacement, self.num_sets, self.ways, seed=seed
+        )
+        self._lru = isinstance(self._policy, LRUPolicy)
+        # Set-major line state: tag (-1 = invalid) and last filling core.
+        self._tags = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
+        self._tag_owner = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
         self.stats = CacheStats(num_cores=self.num_cores)
 
     # ------------------------------------------------------------------
@@ -107,38 +109,22 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     def contains(self, block: int) -> bool:
         """True iff *block* currently resides in the cache."""
-        s = block & self._set_mask
-        if self._lru:
-            return block in self._blocks[s]
-        return bool((self._tags[s] == block).any())
+        if block < 0:
+            return False
+        return bool((self._tags[block & self._set_mask] == block).any())
 
     def occupancy_by_core(self) -> np.ndarray:
         """Number of resident lines last filled by each core."""
-        counts = np.zeros(self.num_cores, dtype=np.int64)
-        if self._lru:
-            for owners in self._owners:
-                for owner in owners:
-                    counts[owner] += 1
-        else:
-            valid = self._tags >= 0
-            for c in range(self.num_cores):
-                counts[c] = int((self._tag_owner[valid] == c).sum())
-        return counts
+        owners = self._tag_owner[self._tags >= 0]
+        return np.bincount(owners, minlength=self.num_cores).astype(np.int64)
 
     def resident_blocks(self) -> np.ndarray:
         """All resident block addresses (unordered)."""
-        if self._lru:
-            out: List[int] = []
-            for blocks in self._blocks:
-                out.extend(blocks)
-            return np.asarray(out, dtype=np.int64)
-        return self._tags[self._tags >= 0].astype(np.int64)
+        return self._tags[self._tags >= 0]
 
     def footprint_lines(self) -> int:
         """Number of valid lines (the true occupancy figures 2/5 compare to)."""
-        if self._lru:
-            return sum(len(b) for b in self._blocks)
-        return int((self._tags >= 0).sum())
+        return int(np.count_nonzero(self._tags >= 0))
 
     # ------------------------------------------------------------------
     # access paths
@@ -154,10 +140,16 @@ class SetAssociativeCache:
 
         Returns hit/miss counts and the fill/eviction event arrays the
         signature unit consumes. Statistics are updated as a side effect.
+        Block addresses must be non-negative (-1 marks an invalid line).
         """
         if not 0 <= core < self.num_cores:
             raise ConfigurationError(
                 f"core {core} out of range for {self.num_cores}-core cache"
+            )
+        blocks = np.asarray(blocks, dtype=np.int64)
+        if len(blocks) and blocks.min() < 0:
+            raise ConfigurationError(
+                f"negative block address {int(blocks.min())} in access batch"
             )
         if self._lru:
             result = self._access_batch_lru(core, blocks)
@@ -167,60 +159,69 @@ class SetAssociativeCache:
         return result
 
     def _access_batch_lru(self, core: int, blocks: np.ndarray) -> AccessResult:
-        set_mask = self._set_mask
-        ways = self.ways
-        all_blocks = self._blocks
-        all_wayids = self._wayids
-        all_owners = self._owners
-        hits = 0
-        fills: List[int] = []
-        fill_slots: List[int] = []
-        evictions: List[int] = []
-        evict_slots: List[int] = []
-        evict_fill_pos: List[int] = []
-        for block in blocks.tolist():
-            s = block & set_mask
-            line = all_blocks[s]
-            try:
-                i = line.index(block)
-            except ValueError:
-                # Miss: evict LRU (tail) if full, insert at MRU (head).
-                wayids = all_wayids[s]
-                owners = all_owners[s]
-                if len(line) == ways:
-                    victim_block = line.pop()
-                    victim_way = wayids.pop()
-                    owners.pop()
-                    evictions.append(victim_block)
-                    evict_slots.append(s * ways + victim_way)
-                    evict_fill_pos.append(len(fills))
-                    way = victim_way
-                else:
-                    way = len(line)
-                line.insert(0, block)
-                wayids.insert(0, way)
-                owners.insert(0, core)
-                fills.append(block)
-                fill_slots.append(s * ways + way)
-            else:
-                hits += 1
-                if i:
-                    line.insert(0, line.pop(i))
-                    wayids = all_wayids[s]
-                    wayids.insert(0, wayids.pop(i))
-                    owners = all_owners[s]
-                    owners.insert(0, owners.pop(i))
+        n = len(blocks)
+        sets = blocks & self._set_mask
+        policy = self._policy
+        first_stamp = policy.clock + 1
+        policy.clock += n
+        order = np.argsort(sets, kind="stable")
+        sorted_sets = sets[order]
+        repeats = sorted_sets[1:] == sorted_sets[:-1]
+        if not repeats.any():
+            # Every reference has a set of its own: one round, in order.
+            slots, old = self._lru_round(
+                sets, blocks, np.arange(first_stamp, first_stamp + n)
+            )
+        else:
+            # Round r holds each set's r-th reference, so the sets of one
+            # round are distinct and a round is one vectorised step.
+            positions = np.arange(n)
+            run_start = np.maximum.accumulate(
+                np.where(np.concatenate(([True], ~repeats)), positions, 0)
+            )
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = positions - run_start
+            slots = np.empty(n, dtype=np.int64)
+            old = np.empty(n, dtype=np.int64)
+            for r in range(int(rank.max()) + 1):
+                p = np.flatnonzero(rank == r)
+                slots[p], old[p] = self._lru_round(
+                    sets[p], blocks[p], p + first_stamp
+                )
+        missed = old != blocks
+        fills = blocks[missed]
+        fill_slots = slots[missed]
+        # A line filled twice in one batch was filled by this core both times.
+        self._tag_owner.reshape(-1)[fill_slots] = core
+        replaced = old[missed]
+        evicting = replaced >= 0
         return AccessResult(
-            hits=hits,
+            hits=n - len(fills),
             misses=len(fills),
-            fills=np.asarray(fills, dtype=np.int64) if fills else _EMPTY,
-            fill_slots=np.asarray(fill_slots, dtype=np.int64) if fills else _EMPTY,
-            evictions=np.asarray(evictions, dtype=np.int64) if evictions else _EMPTY,
-            evict_slots=np.asarray(evict_slots, dtype=np.int64) if evictions else _EMPTY,
-            evict_fill_pos=(
-                np.asarray(evict_fill_pos, dtype=np.int64) if evictions else _EMPTY
-            ),
+            fills=fills,
+            fill_slots=fill_slots,
+            evictions=replaced[evicting],
+            evict_slots=fill_slots[evicting],
+            evict_fill_pos=np.flatnonzero(evicting),
         )
+
+    def _lru_round(
+        self, sets: np.ndarray, blocks: np.ndarray, stamps: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Access *blocks*, one per distinct set; return (slots, old tags).
+
+        A hit keys its way at -1, below every stamp, so one ``argmin`` per
+        row finds the hit way, else the lowest empty way (stamp 0), else
+        the least recently used one. Owners are the caller's to write.
+        """
+        key = np.take(self._policy.stamps, sets, axis=0)
+        key[np.take(self._tags, sets, axis=0) == blocks[:, None]] = -1
+        slots = sets * self.ways + key.argmin(axis=1)
+        tags = self._tags.reshape(-1)
+        old = tags[slots]
+        tags[slots] = blocks
+        self._policy.stamps.reshape(-1)[slots] = stamps
+        return slots, old
 
     def _access_batch_generic(self, core: int, blocks: np.ndarray) -> AccessResult:
         policy = self._policy
@@ -277,13 +278,9 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Invalidate all lines and zero statistics."""
-        self._blocks = [[] for _ in range(self.num_sets)]
-        self._wayids = [[] for _ in range(self.num_sets)]
-        self._owners = [[] for _ in range(self.num_sets)]
-        if not self._lru:
-            self._tags.fill(-1)
-            self._tag_owner.fill(-1)
-            self._policy.reset()
+        self._tags.fill(-1)
+        self._tag_owner.fill(-1)
+        self._policy.reset()
         self.stats.reset()
 
     def __repr__(self) -> str:

@@ -1,13 +1,15 @@
 """Replacement policies for the set-associative cache.
 
-The hot LRU path is implemented inline inside
-:class:`repro.cache.cache.SetAssociativeCache` (a recency-ordered list per
-set keeps every operation a C-level list op). The policy objects here serve
-the generic path (random, tree-PLRU) and as the reference implementation the
-property tests compare against.
-
 A policy manages victim choice only; tag lookup and bookkeeping stay in the
-cache. Per-set policy state is indexed by physical way.
+cache, whose state is a set-major ``(num_sets, ways)`` tag matrix. Per-set
+policy state is indexed by physical way.
+
+:class:`LRUPolicy` holds the recency state of every LRU cache: one stamp per
+line, with 0 marking an empty line. The cache's vectorised batch path reads
+and writes :attr:`LRUPolicy.stamps` directly, one round of distinct sets at a
+time; :meth:`~LRUPolicy.on_access` and :meth:`~LRUPolicy.victim` are the
+same rules for one reference. Random and tree-PLRU serve the cache's
+per-reference path.
 """
 
 from __future__ import annotations
@@ -44,23 +46,29 @@ class ReplacementPolicy:
 
 
 class LRUPolicy(ReplacementPolicy):
-    """True LRU via per-set recency timestamps (reference implementation)."""
+    """True LRU via per-line recency stamps.
+
+    ``stamps[set, way]`` is the :attr:`clock` value of the line's last
+    access. Empty lines keep stamp 0, below every valid stamp, so the first
+    minimum of a row is the lowest empty way, or the least recently used
+    line of a full set.
+    """
 
     def __init__(self, num_sets: int, ways: int):
         super().__init__(num_sets, ways)
-        self._stamp = np.zeros((num_sets, ways), dtype=np.int64)
-        self._clock = 0
+        self.stamps = np.zeros((num_sets, ways), dtype=np.int64)
+        self.clock = 0
 
     def on_access(self, set_index: int, way: int) -> None:
-        self._clock += 1
-        self._stamp[set_index, way] = self._clock
+        self.clock += 1
+        self.stamps[set_index, way] = self.clock
 
     def victim(self, set_index: int) -> int:
-        return int(np.argmin(self._stamp[set_index]))
+        return int(np.argmin(self.stamps[set_index]))
 
     def reset(self) -> None:
-        self._stamp.fill(0)
-        self._clock = 0
+        self.stamps.fill(0)
+        self.clock = 0
 
 
 class RandomPolicy(ReplacementPolicy):

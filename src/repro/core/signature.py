@@ -480,8 +480,9 @@ class SignatureUnit:
                     "presence indexing requires slot information for every event"
                 )
             return self._slot_indices(slots)
-        idx = self._hash_indices(blocks)
-        flat = idx.ravel()
+        if len(self.hashes) == 1:
+            return self.hashes[0].hash_many(blocks)
+        flat = self._hash_indices(blocks).ravel()
         return flat[flat >= 0]
 
     def _sample_filter(
@@ -524,8 +525,10 @@ class SignatureUnit:
         idx = self._event_indices(blocks, slots)
         self.stats.fills_tracked += kept
         np.add.at(self.counters, idx, 1)
-        over = self.counters > self.counter_max
-        if over.any():
+        # Counters stay within [0, counter_max] between batches, so only
+        # this batch's entries can have overflowed.
+        if (self.counters[idx] > self.counter_max).any():
+            over = self.counters > self.counter_max
             excess = int((self.counters[over] - self.counter_max).sum())
             self.stats.saturation_events += excess
             if self.config.strict_saturation:
@@ -564,8 +567,9 @@ class SignatureUnit:
         idx = self._event_indices(blocks, slots)
         self.stats.evictions_tracked += kept
         np.subtract.at(self.counters, idx, 1)
-        under = self.counters < 0
-        if under.any():
+        remaining = self.counters[idx]
+        if (remaining < 0).any():
+            under = self.counters < 0
             deficit = int((-self.counters[under]).sum())
             self.stats.underflow_events += deficit
             if self.config.strict_saturation:
@@ -573,7 +577,9 @@ class SignatureUnit:
                     f"{deficit} counter underflow event(s) in eviction batch"
                 )
             self.counters[under] = 0
-        zeroed = np.unique(idx[self.counters[idx] == 0])
+            remaining = self.counters[idx]
+        # Clearing a bit twice equals clearing it once: no dedup needed.
+        zeroed = idx[remaining == 0]
         if len(zeroed):
             for cf in self.core_filters:
                 cf.clear_many(zeroed)

@@ -326,10 +326,14 @@ class MulticoreSimulator:
 
                 task = sched.current_task(core)
                 n = min(batch, task.remaining_accesses)
-                blocks = task.generator.next_batch(n)
                 if prof is not None:
                     t1 = perf_counter()  # repro: noqa[RPR101]
                     prof.add("interleave", t1 - t0)
+                blocks = task.generator.next_batch(n)
+                if prof is not None:
+                    t0 = t1
+                    t1 = perf_counter()  # repro: noqa[RPR101]
+                    prof.add("trace_gen", t1 - t0, n)
                 l1_hits = 0
                 if self._l1s is not None:
                     l1_result = self._l1s[core].access_batch(0, blocks)

@@ -3,7 +3,7 @@
 The simulator's main loop is too hot for a span per batch (hundreds of
 thousands of batches per run), so profiling is aggregated: a
 :class:`PhaseProfile` accumulates wall seconds and operation counts per
-*phase* — interleave (core selection + trace generation), L2 access,
+*phase* — interleave (core selection), trace generation, L2 access,
 signature sampling, timing-model accounting, monitor invocation — with
 two ``perf_counter`` reads per phase per batch when telemetry is enabled
 and nothing at all when it is not.
@@ -26,7 +26,7 @@ __all__ = ["SIMULATOR_PHASES", "PhaseProfile"]
 
 #: The simulator's instrumented phases, in loop order.
 SIMULATOR_PHASES: Tuple[str, ...] = (
-    "interleave", "l2_access", "signature", "timing", "monitor",
+    "interleave", "trace_gen", "l2_access", "signature", "timing", "monitor",
 )
 
 

@@ -164,6 +164,25 @@ class TestGenericPolicies:
         assert c.occupancy_by_core().tolist() == [2, 1]
 
 
+@pytest.mark.parametrize("policy", ["lru", "random", "plru"])
+class TestNegativeBlocks:
+    """-1 marks an invalid line, so no policy may accept negative blocks."""
+
+    def test_cold_cache_rejects_minus_one(self, policy):
+        c = small_cache(policy=policy)
+        with pytest.raises(ConfigurationError):
+            c.access_batch(0, np.array([-1]))
+        assert c.footprint_lines() == 0
+        assert c.stats.total_accesses == 0
+        assert not c.contains(-1)
+
+    def test_negative_anywhere_in_batch_rejected(self, policy):
+        c = small_cache(policy=policy)
+        with pytest.raises(ConfigurationError):
+            c.access_batch(0, np.array([3, 7, -5]))
+        assert c.footprint_lines() == 0
+
+
 class ReferenceLRUCache:
     """Dict-of-lists reference model for differential testing."""
 

@@ -90,6 +90,7 @@ class TestPinnedSnapshot:
         assert snap["sim_batches_total"]["value"] == 28
         assert snap["sim_l2_accesses_total"]["value"] == 5500
         assert snap["sim_phase_interleave_ops_total"]["value"] == 28
+        assert snap["sim_phase_trace_gen_ops_total"]["value"] == 5500
         assert snap["sim_phase_l2_access_ops_total"]["value"] == 5500
         assert snap["sim_phase_timing_ops_total"]["value"] == 28
         assert snap["sim_wall_cycles"]["value"] == pytest.approx(
