@@ -3,7 +3,7 @@
 The paper's figure-10 evaluation covers all C(12,4) = 495 four-task SPEC
 mixes. Exact and sampled simulation pay per mix; the analytical backend
 profiles each of the 12 benchmarks once and prices every mix with
-closed-form arithmetic, so its cost is one profiling pass plus ~3 ms per
+closed-form arithmetic, so its cost is one profiling pass plus 1–2 ms per
 prediction — the asymmetry this bench pins down:
 
 * **analytical**: profiling + all 495 predictions, measured in full;

@@ -118,8 +118,8 @@ class AnalyticalModel:
     profiles:
         One :class:`ReuseProfile` per task, in task-index order.
     options:
-        Estimator knobs; only ``fixed_point_iterations`` is consumed
-        here.
+        Estimator knobs; only ``reuse_bins`` and
+        ``fixed_point_iterations`` are consumed here.
     """
 
     def __init__(
@@ -146,31 +146,33 @@ class AnalyticalModel:
         # pass amortise over hundreds of predicted mappings.
         self._reuse_values: List[np.ndarray] = []
         self._reuse_weights: List[np.ndarray] = []
+        # The volume a task's own references add between two of its
+        # reuses depends on its profile alone, so it is computed once
+        # per model; every prediction only adds co-runner pressure to it
+        # (into new arrays: these are shared across predictions).
+        self._own_volume: List[np.ndarray] = []
         for prof in self.profiles:
             values, weights = prof.binned_reuses(self.options.reuse_bins)
             self._reuse_values.append(values)
             self._reuse_weights.append(weights)
+            self._own_volume.append(
+                prof.footprint(np.minimum(values, prof.refs).astype(np.int64))
+            )
 
     # -- building blocks ------------------------------------------------
-    def _miss_rate(
-        self, index: int, peers: Sequence[Tuple[int, float]]
-    ) -> float:
-        """Expected miss rate of one task under co-runner pressure.
+    def _miss_rate(self, index: int, volume: np.ndarray) -> float:
+        """Expected miss rate of one task given the data volume touched
+        between each of its (binned) reuses.
 
-        *peers* lists ``(profile index, ρ)`` pairs: co-runners sharing
-        this task's cache and their reference-rate ratios.
+        Every first touch of a block misses; a reuse misses with the
+        conflict model's probability at its volume.
         """
         prof = self.profiles[index]
-        rts = self._reuse_values[index]
-        if len(rts) == 0:
+        if len(volume) == 0:  # no reuses: every reference is a first touch
             return 1.0
-        volume = prof.footprint(np.minimum(rts, prof.refs).astype(np.int64))
-        for j, rho in peers:
-            volume = volume + self.profiles[j].footprint_extended(rts * rho)
         p_miss = gammainc(self._ways, volume / self._sets)
-        colds = prof.refs - len(prof.reuse_times)
-        reuses = float(p_miss @ self._reuse_weights[index])
-        return float((colds + reuses) / prof.refs)
+        reuses = p_miss @ self._reuse_weights[index]
+        return float((prof.distinct_blocks + reuses) / prof.refs)
 
     def _cycles_per_access(
         self, index: int, miss_rate: float, other_intensity: float
@@ -191,7 +193,7 @@ class AnalyticalModel:
         """The task alone on the machine (degradation baseline)."""
         if index not in self._solo:
             prof = self.profiles[index]
-            mr = self._miss_rate(index, [])
+            mr = self._miss_rate(index, self._own_volume[index])
             cpa = self._cycles_per_access(index, mr, 0.0)
             self._solo[index] = TaskPrediction(
                 index=index,
@@ -209,7 +211,8 @@ class AnalyticalModel:
 
         *groups* assigns profile indices to cores by position (the run
         spec's mapping convention); every profile index must appear
-        exactly once.
+        exactly once, on a core the machine has. Empty groups past the
+        last core are accepted, as the exact engine accepts them.
         """
         norm = tuple(tuple(sorted(int(i) for i in g)) for g in groups)
         members = [i for g in norm for i in g]
@@ -218,24 +221,21 @@ class AnalyticalModel:
                 f"mapping {norm} must place each of {len(self.profiles)} "
                 "tasks exactly once"
             )
+        for core, group in enumerate(norm):
+            if group and core >= self.machine.num_cores:
+                raise ConfigurationError(
+                    f"mapping {norm} places tasks on core {core} of a "
+                    f"{self.machine.num_cores}-core machine"
+                )
         core_of = {i: c for c, g in enumerate(norm) for i in g}
         gsize = {i: len(norm[core_of[i]]) for i in members}
 
         # Seed the fixed point with solo behaviour.
         mr = {i: self.predict_solo(i).miss_rate for i in members}
         cpa = {i: self.predict_solo(i).cycles_per_access for i in members}
-        # The own-footprint volume term never changes across iterations,
-        # and each co-runner's footprint_extended serves every task it
+        # Each co-runner's footprint_extended serves every task it
         # pressures in one batched evaluation — the fixed point costs a
         # handful of array calls per iteration, not one per task pair.
-        own = {
-            i: self.profiles[i].footprint(
-                np.minimum(
-                    self._reuse_values[i], self.profiles[i].refs
-                ).astype(np.int64)
-            )
-            for i in members
-        }
         pressured = {
             j: [
                 i
@@ -246,7 +246,7 @@ class AnalyticalModel:
             for j in members
         }
         for _ in range(self.options.fixed_point_iterations):
-            volume = {i: own[i] for i in members}
+            volume = {i: self._own_volume[i] for i in members}
             for j in members:
                 targets = pressured[j]
                 if not targets:
@@ -265,18 +265,7 @@ class AnalyticalModel:
                         offset : offset + len(query)
                     ]
                     offset += len(query)
-            new_mr = {}
-            for i in members:
-                prof = self.profiles[i]
-                if len(self._reuse_values[i]) == 0:
-                    new_mr[i] = 1.0
-                    continue
-                p_miss = gammainc(self._ways, volume[i] / self._sets)
-                colds = prof.refs - len(prof.reuse_times)
-                new_mr[i] = float(
-                    (colds + p_miss @ self._reuse_weights[i]) / prof.refs
-                )
-            mr = new_mr
+            mr = {i: self._miss_rate(i, volume[i]) for i in members}
             new_cpa = {}
             for i in members:
                 other = sum(
@@ -340,6 +329,9 @@ def analytical_simulation(
         for i in range(len(tasks)):
             groups[i % machine.num_cores].append(i)
     else:
+        unknown = sorted(mapping.task_ids - tid_to_index.keys())
+        if unknown:
+            raise ConfigurationError(f"mapping names unknown task {unknown[0]}")
         groups = [
             [tid_to_index[tid] for tid in g] for g in mapping.groups
         ]

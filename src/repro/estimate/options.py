@@ -26,8 +26,9 @@ class EstimatorOptions:
     ----------
     profile_refs:
         Optional cap on the number of references profiled per task
-        (``None`` profiles the full trace). A truncated profile is
-        recorded as such in the outcome's estimate metadata.
+        (``None`` profiles the full trace). A profile cut short by the
+        cap is marked by its ``truncated`` flag
+        (:attr:`~repro.estimate.reuse.ReuseProfile.truncated`).
     window_refs:
         Phase-detection window size in references (sampled backend).
     denominator:

@@ -6,10 +6,11 @@ collects:
 
 * the **reuse-time histogram** — for every reference that re-touches a
   block, the number of (own) references since the previous touch;
-* the **gap lengths** — runs of references *not* touching each block,
-  from which the average **footprint curve** ``fp(w)`` (expected number
-  of distinct blocks in a window of ``w`` consecutive references)
-  follows in closed form;
+* the average **footprint curve** ``fp(w)`` — the expected number of
+  distinct blocks in a window of ``w`` consecutive references — built
+  in closed form from the gap lengths (runs of references *not*
+  touching each block) and stored densely, one value per integer
+  window;
 * cold-miss and working-set totals.
 
 The footprint identity is exact, not fitted (window-count form of the
@@ -22,8 +23,10 @@ of the block's access gaps, so
 
 with ``m`` distinct blocks, ``n`` references, and one gap per reuse
 interval (length ``reuse_time - 1``) plus head/tail gaps before each
-block's first and after its last access. All of it evaluates with sorted
-arrays and cumulative sums — no per-reference Python loop.
+block's first and after its last access. Gap lengths are integers below
+``n``, so a histogram of them (``np.bincount``) and its suffix sums give
+the sum for every ``w = 1..n`` at once — no sort and no per-reference
+Python loop. A footprint lookup is then an array gather.
 
 Restart semantics (paper Section 4.2) are handled by
 :meth:`ReuseProfile.footprint_extended`: a completed task restarts into a
@@ -66,8 +69,10 @@ class ReuseProfile:
         and memory-level parallelism).
     reuse_times:
         Sorted reuse times, one per non-cold reference.
-    gap_lengths:
-        Sorted gap lengths feeding the footprint identity.
+    curve:
+        The footprint curve: ``curve[w]`` is ``fp(w)`` for every integer
+        window ``w = 1..refs`` (``refs + 1`` entries; index 0 is never
+        read).
     """
 
     name: str
@@ -77,8 +82,7 @@ class ReuseProfile:
     accesses_per_kinstr: float
     mlp: float
     reuse_times: np.ndarray = field(repr=False)
-    gap_lengths: np.ndarray = field(repr=False)
-    _gap_cumsum: np.ndarray = field(repr=False)
+    curve: np.ndarray = field(repr=False)
     #: Memoised :meth:`binned_reuses` results, keyed by bin count — the
     #: same profile is re-binned by every per-mapping analytical model.
     _bin_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
@@ -101,13 +105,11 @@ class ReuseProfile:
         Exact for ``1 <= w <= refs`` (matches a brute-force average over
         all length-``w`` windows); inputs are clipped into that range.
         """
-        w = np.clip(np.asarray(windows, dtype=np.int64), 1, self.refs)
-        gaps = self.gap_lengths
-        idx = np.searchsorted(gaps, w, side="left")
-        suffix_sum = self._gap_cumsum[-1] - self._gap_cumsum[idx]
-        suffix_cnt = len(gaps) - idx
-        tail = suffix_sum - (w - 1) * suffix_cnt
-        return self.distinct_blocks - tail / np.maximum(self.refs - w + 1, 1)
+        # A minimum/maximum pair clips to the same integers as np.clip
+        # without its Python-level wrapper, which dominates at the small
+        # array sizes the analytical model queries.
+        w = np.maximum(np.asarray(windows, dtype=np.int64), 1)
+        return self.curve[np.minimum(w, self.refs)]
 
     def footprint_extended(self, windows: np.ndarray) -> np.ndarray:
         """Footprint of a window that may span restarts of the task.
@@ -182,16 +184,16 @@ def profile_trace(
 
     The pass is fully vectorised: previous-occurrence indices come from
     one stable argsort of the block ids, reuse times and gap lengths are
-    then plain array arithmetic.
+    then plain array arithmetic, and the footprint curve follows from
+    suffix sums over the gap-length histogram.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     n = len(blocks)
     require_positive(n, "trace length")
-    _, inv = np.unique(blocks, return_inverse=True)
-    m = int(inv.max()) + 1
-    order = np.argsort(inv, kind="stable")
-    sorted_ids = inv[order]
+    order = np.argsort(blocks, kind="stable")
+    sorted_ids = blocks[order]
     same = sorted_ids[1:] == sorted_ids[:-1]
+    m = n - int(np.count_nonzero(same))
     prev = np.full(n, -1, dtype=np.int64)
     prev[order[1:][same]] = order[:-1][same]
     has_prev = prev >= 0
@@ -199,7 +201,14 @@ def profile_trace(
     firsts = order[np.concatenate(([True], ~same))]
     lasts = order[np.concatenate((~same, [True]))]
     gaps = np.concatenate([reuse_times - 1, firsts, n - 1 - lasts])
-    gaps = np.sort(gaps[gaps > 0])
+    # For every window w: tail(w) = Σ_{gap >= w} (gap - w + 1), from the
+    # count and the sum of the gaps at least w long (zero-length gaps
+    # add nothing to either for w >= 1).
+    counts = np.bincount(gaps, minlength=n + 1)
+    w = np.arange(n + 1, dtype=np.int64)
+    count_ge = np.cumsum(counts[::-1])[::-1]
+    sum_ge = np.cumsum((counts * w)[::-1])[::-1]
+    tail = sum_ge - (w - 1) * count_ge
     return ReuseProfile(
         name=name,
         refs=n,
@@ -208,8 +217,7 @@ def profile_trace(
         accesses_per_kinstr=float(accesses_per_kinstr),
         mlp=float(mlp),
         reuse_times=np.sort(reuse_times),
-        gap_lengths=gaps,
-        _gap_cumsum=np.concatenate(([0], np.cumsum(gaps))),
+        curve=m - tail / np.maximum(n - w + 1, 1),
     )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.estimate.dispatch import (
     BACKENDS,
     as_mapping,
@@ -64,6 +64,18 @@ class TestEstimateMix:
         assert report is not None
         assert 0.0 < report.coverage <= 1.0
         assert result.wall_cycles > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_rejects_impossible_placements(self, backend):
+        # The analytical backend never builds a scheduler, so it must
+        # reject what the exact engine's scheduler would: a task on a
+        # core the machine lacks, and a tid that names no task.
+        error = ConfigurationError if backend == "analytical" else ReproError
+        tasks = mix()
+        a, b = (t.tid for t in tasks)
+        for mapping in ([[], [], [a, b]], [[999], [b]]):
+            with pytest.raises(error):
+                estimate_mix(core2duo(), tasks, backend=backend, mapping=mapping)
 
     def test_all_backends_share_the_result_type(self):
         results = {}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.estimate.reuse import profile_task, profile_trace
@@ -14,6 +16,67 @@ def brute_force_footprint(blocks, w):
     return float(
         np.mean([len(set(blocks[i : i + w])) for i in range(n - w + 1)])
     )
+
+
+def reference_footprint(blocks, windows):
+    """The footprint identity over a sorted gap list.
+
+    Gaps come from a plain loop over the trace; the sum over gaps at
+    least ``w`` long is a binary search into their cumulative sums.
+    """
+    n, last, gaps = len(blocks), {}, []
+    for i, b in enumerate(blocks):
+        gaps.append(i - last.get(b, -1) - 1)
+        last[b] = i
+    gaps += [n - 1 - i for i in last.values()]
+    gaps = np.sort(np.array([g for g in gaps if g > 0], dtype=np.int64))
+    cumsum = np.concatenate(([0], np.cumsum(gaps)))
+    w = np.clip(np.asarray(windows, dtype=np.int64), 1, n)
+    idx = np.searchsorted(gaps, w, side="left")
+    tail = (cumsum[-1] - cumsum[idx]) - (w - 1) * (len(gaps) - idx)
+    return len(last) - tail / np.maximum(n - w + 1, 1)
+
+
+def reference_footprint_extended(blocks, windows):
+    """``floor(w / n) · m + fp(w mod n)`` on the reference footprint."""
+    w = np.asarray(windows, dtype=np.float64)
+    n = float(len(blocks))
+    full = np.floor(w / n)
+    rem = np.maximum((w - full * n).astype(np.int64), 1)
+    return full * len(set(blocks)) + reference_footprint(blocks, rem)
+
+
+@st.composite
+def traces(draw):
+    """Traces of up to 400 references over a small block alphabet."""
+    alphabet = draw(st.integers(1, 24))
+    return draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=400))
+
+
+class TestFootprintDifferential:
+    """The dense curve equals the gap-list formula bit for bit."""
+
+    @given(traces(), st.lists(st.floats(0.0, 1.0), max_size=40))
+    @settings(max_examples=80, deadline=None)
+    @example(list(range(300)), [])  # all distinct
+    @example([7] * 250, [])  # one repeated block
+    @example([3], [0.5])  # n = 1
+    def test_matches_gap_list_formula(self, blocks, fractions):
+        n = len(blocks)
+        prof = profile_trace("t", np.array(blocks))
+        windows = np.arange(-2, n + 3)
+        assert (
+            prof.footprint(windows).tobytes()
+            == reference_footprint(blocks, windows).tobytes()
+        )
+        # Quarter steps hit non-integers and every exact multiple of n.
+        spans = np.concatenate(
+            (np.arange(0, 5 * n + 0.25, 0.25), 5 * n * np.array(fractions))
+        )
+        assert (
+            prof.footprint_extended(spans).tobytes()
+            == reference_footprint_extended(blocks, spans).tobytes()
+        )
 
 
 class TestFootprintIdentity:
