@@ -136,6 +136,10 @@ class AliasingGenerator(TraceGenerator):
     spread:
         Width of the filter-index band the stream folds into (see
         :func:`alias_preimages`); the stream's apparent footprint.
+
+    A ``'scan'`` stream is split-invariant. A ``'hot'`` one is not: each
+    call draws ``random(n)`` and then two ``integers(n)``, so one long
+    call yields a different stream than the same length in batches.
     """
 
     REUSE_KINDS = ("scan", "hot")
@@ -178,6 +182,8 @@ class AliasingGenerator(TraceGenerator):
         )
         self._hot_count = max(1, int(region_blocks * hot_fraction))
         self._pos = 0
+        if reuse == "scan":
+            self.split_granule = 1
 
     def _restart(self) -> None:
         self._pos = 0
@@ -213,6 +219,8 @@ class SaturatingGenerator(TraceGenerator):
         Region size as a multiple of ``filter_entries``.
     """
 
+    split_granule = 1
+
     def __init__(
         self,
         filter_entries: int,
@@ -247,6 +255,8 @@ class ThrashingGenerator(TraceGenerator):
         Region size as a multiple of ``cache_lines`` (> 1 guarantees the
         reuse distance exceeds capacity).
     """
+
+    split_granule = 1
 
     def __init__(
         self,
@@ -292,6 +302,8 @@ class PhaseFlapGenerator(TraceGenerator):
     period:
         Accesses spent in one region before flipping.
     """
+
+    split_granule = 1
 
     def __init__(
         self,

@@ -102,6 +102,9 @@ class SetAssociativeCache:
         # Set-major line state: tag (-1 = invalid) and last filling core.
         self._tags = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
         self._tag_owner = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
+        # Slot-indexed (set*ways + way) views of the same memory.
+        self._slot_tags = self._tags.reshape(-1)
+        self._slot_owner = self._tag_owner.reshape(-1)
         self.stats = CacheStats(num_cores=self.num_cores)
 
     # ------------------------------------------------------------------
@@ -164,7 +167,7 @@ class SetAssociativeCache:
         policy = self._policy
         first_stamp = policy.clock + 1
         policy.clock += n
-        order = np.argsort(sets, kind="stable")
+        order = sets.argsort(kind="stable")
         sorted_sets = sets[order]
         repeats = sorted_sets[1:] == sorted_sets[:-1]
         if not repeats.any():
@@ -184,25 +187,25 @@ class SetAssociativeCache:
             slots = np.empty(n, dtype=np.int64)
             old = np.empty(n, dtype=np.int64)
             for r in range(int(rank.max()) + 1):
-                p = np.flatnonzero(rank == r)
+                p = (rank == r).nonzero()[0]
                 slots[p], old[p] = self._lru_round(
                     sets[p], blocks[p], p + first_stamp
                 )
-        missed = old != blocks
-        fills = blocks[missed]
-        fill_slots = slots[missed]
+        missed = (old != blocks).nonzero()[0]
+        fills = blocks.take(missed)
+        fill_slots = slots.take(missed)
         # A line filled twice in one batch was filled by this core both times.
-        self._tag_owner.reshape(-1)[fill_slots] = core
-        replaced = old[missed]
-        evicting = replaced >= 0
+        self._slot_owner[fill_slots] = core
+        replaced = old.take(missed)
+        evicting = (replaced >= 0).nonzero()[0]
         return AccessResult(
             hits=n - len(fills),
             misses=len(fills),
             fills=fills,
             fill_slots=fill_slots,
-            evictions=replaced[evicting],
-            evict_slots=fill_slots[evicting],
-            evict_fill_pos=np.flatnonzero(evicting),
+            evictions=replaced.take(evicting),
+            evict_slots=fill_slots.take(evicting),
+            evict_fill_pos=evicting,
         )
 
     def _lru_round(
@@ -214,12 +217,11 @@ class SetAssociativeCache:
         row finds the hit way, else the lowest empty way (stamp 0), else
         the least recently used one. Owners are the caller's to write.
         """
-        key = np.take(self._policy.stamps, sets, axis=0)
-        key[np.take(self._tags, sets, axis=0) == blocks[:, None]] = -1
+        key = self._policy.stamps.take(sets, axis=0)
+        key[self._tags.take(sets, axis=0) == blocks[:, None]] = -1
         slots = sets * self.ways + key.argmin(axis=1)
-        tags = self._tags.reshape(-1)
-        old = tags[slots]
-        tags[slots] = blocks
+        old = self._slot_tags.take(slots)
+        self._slot_tags[slots] = blocks
         self._policy.stamps.reshape(-1)[slots] = stamps
         return slots, old
 

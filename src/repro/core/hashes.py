@@ -118,16 +118,21 @@ class XorFoldHash(HashFunction):
         if self.index_bits == 0:
             raise ConfigurationError("XOR folding needs num_entries >= 2")
         self.fold_bits = require_positive(fold_bits, "fold_bits")
+        self._mask = np.uint64(num_entries - 1)
+        step = self.index_bits
+        self._shifts = tuple(
+            np.uint64(s) for s in range(step, self.fold_bits, step)
+        )
 
     def hash_many(self, blocks: np.ndarray) -> np.ndarray:
         u = self._mix(np.asarray(blocks, dtype=np.int64))
-        mask = np.uint64(self.num_entries - 1)
-        acc = np.zeros(len(u), dtype=np.uint64)
-        shift = 0
-        while shift < self.fold_bits:
-            acc ^= (u >> np.uint64(shift)) & mask
-            shift += self.index_bits
-        return acc.astype(np.int64)
+        # Masking distributes over XOR, so one mask after XOR-ing every
+        # shifted word folds to the same index as masking each chunk.
+        acc = u.copy()
+        for shift in self._shifts:
+            acc ^= u >> shift
+        acc &= self._mask
+        return acc.view(np.int64)
 
 
 class XorInverseReverseHash(XorFoldHash):

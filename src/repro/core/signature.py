@@ -418,7 +418,10 @@ class SignatureUnit:
                 config.hash_kind, self.num_entries, config.num_hashes
             )
         self.counters = np.zeros(self.num_entries, dtype=np.int64)
-        self.core_filters = [BitVector(self.num_entries) for _ in range(self.num_cores)]
+        # Every core's CF is one row of one bool matrix: a fill batch is
+        # one scatter into a row, a zeroed entry clears a whole column.
+        self._core_bits = np.zeros((self.num_cores, self.num_entries), dtype=bool)
+        self.core_filters = [BitVector._backed_by(row) for row in self._core_bits]
         self.last_filters = [BitVector(self.num_entries) for _ in range(self.num_cores)]
         self.stats = SignatureStats()
         self._shift = int(np.log2(config.sampling_denominator))
@@ -527,7 +530,7 @@ class SignatureUnit:
         np.add.at(self.counters, idx, 1)
         # Counters stay within [0, counter_max] between batches, so only
         # this batch's entries can have overflowed.
-        if (self.counters[idx] > self.counter_max).any():
+        if self.counters[idx].max() > self.counter_max:
             over = self.counters > self.counter_max
             excess = int((self.counters[over] - self.counter_max).sum())
             self.stats.saturation_events += excess
@@ -536,7 +539,7 @@ class SignatureUnit:
                     f"{excess} counter saturation event(s) in fill batch"
                 )
             self.counters[over] = self.counter_max
-        self.core_filters[core].set_many(idx)
+        self._core_bits[core][idx] = True
 
     def record_eviction_batch(
         self,
@@ -568,7 +571,7 @@ class SignatureUnit:
         self.stats.evictions_tracked += kept
         np.subtract.at(self.counters, idx, 1)
         remaining = self.counters[idx]
-        if (remaining < 0).any():
+        if remaining.min() < 0:
             under = self.counters < 0
             deficit = int((-self.counters[under]).sum())
             self.stats.underflow_events += deficit
@@ -581,8 +584,7 @@ class SignatureUnit:
         # Clearing a bit twice equals clearing it once: no dedup needed.
         zeroed = idx[remaining == 0]
         if len(zeroed):
-            for cf in self.core_filters:
-                cf.clear_many(zeroed)
+            self._core_bits[:, zeroed] = False
 
     def record_events(
         self,
@@ -707,16 +709,13 @@ class SignatureUnit:
         live = touched[end_state > 0]
         if len(dead):
             self.counters[dead] = 0
-            for cf in self.core_filters:
-                cf.clear_many(dead)
+            self._core_bits[:, dead] = False
         if len(live):
             # Live touched slots belong exclusively to this batch's filler.
             live_filled = np.intersect1d(live, fill_idx, assume_unique=False)
-            for other, cf in enumerate(self.core_filters):
-                if other == core:
-                    cf.set_many(live_filled)
-                elif not self._sticky and len(live_filled):
-                    cf.clear_many(live_filled)
+            if not self._sticky:
+                self._core_bits[:, live_filled] = False
+            self._core_bits[core][live_filled] = True
 
     # ------------------------------------------------------------------
     # event recording (exact scalar paths)
@@ -740,7 +739,7 @@ class SignatureUnit:
                     raise CounterSaturationError(f"counter {i} saturated")
             else:
                 self.counters[i] += 1
-            self.core_filters[core].set(i)
+            self._core_bits[core, i] = True
 
     def _evict_one(self, block: int, slot: Optional[int]) -> None:
         if self._presence:
@@ -762,8 +761,7 @@ class SignatureUnit:
             else:
                 self.counters[i] -= 1
             if self.counters[i] == 0:
-                for cf in self.core_filters:
-                    cf.clear(i)
+                self._core_bits[:, i] = False
 
     # ------------------------------------------------------------------
     # context switches and queries
@@ -804,8 +802,7 @@ class SignatureUnit:
     def reset(self) -> None:
         """Clear all counters, filters and statistics."""
         self.counters.fill(0)
-        for cf in self.core_filters:
-            cf.zero()
+        self._core_bits.fill(False)
         for lf in self.last_filters:
             lf.zero()
         self.stats = SignatureStats()

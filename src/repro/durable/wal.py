@@ -106,6 +106,10 @@ class EventWAL:
         written with one ``write`` call, so a crash leaves at worst one
         torn trailing line — truncated by the next process's first
         append (see :meth:`_ensure_open`) and skipped by replay.
+
+        Every call also creates the log's directory if needed and opens
+        and closes the log: close to half the CPU time of one fsynced
+        append on ext4.
         """
         lsn = self.last_lsn + 1
         line = (

@@ -123,7 +123,12 @@ class EstimateGate:
     # -- inspection ----------------------------------------------------
 
     def _probe_blocks(self, task: SimTask):
-        """Probe one task: ``(distinct blocks array, footprint estimate)``."""
+        """Probe one task: ``(distinct blocks array, footprint estimate)``.
+
+        The probe is one ``next_batch`` call, so for a generator that is not
+        split-invariant it sees a different stream than the exact engine's
+        batches (see :func:`repro.estimate.reuse.profile_task`).
+        """
         generator = task.generator
         region = getattr(generator, "region_blocks", None)
         batch = generator.next_batch(self.probe_accesses)

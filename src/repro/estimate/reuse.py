@@ -230,6 +230,11 @@ def profile_task(
     is left exactly as constructed, so profiling never perturbs a later
     exact simulation of the same object. *profile_refs* caps the pass
     for huge traces; the resulting profile is marked truncated.
+
+    The trace is drawn in one ``next_batch`` call. That is the stream the
+    exact engine simulates batch by batch only when the generator is
+    split-invariant (``split_granule > 0``); ``AliasingGenerator`` with
+    ``reuse='hot'`` is not, so its profile prices a different stream.
     """
     n = task.total_accesses
     take = n if profile_refs is None else min(n, int(profile_refs))

@@ -55,6 +55,8 @@ class ReplayGenerator(TraceGenerator):
     addresses are *relative* to ``base_block``).
     """
 
+    split_granule = 1
+
     def __init__(self, blocks: np.ndarray, base_block: int = 0, seed: int = 0):
         super().__init__(base_block=base_block, seed=seed)
         blocks = np.asarray(blocks, dtype=np.int64)
@@ -124,7 +126,12 @@ class SampleReport:
 def _sample_task(
     task: SimTask, options: EstimatorOptions
 ) -> Tuple[SimTask, TaskSample]:
-    """Build the shortened replay twin of one task."""
+    """Build the shortened replay twin of one task.
+
+    The whole trace is drawn in one ``next_batch`` call, which matches the
+    exact engine's per-batch stream only for a split-invariant generator
+    (see :func:`repro.estimate.reuse.profile_task`).
+    """
     generator = task.generator
     generator.reset()
     base = generator.base_block

@@ -289,6 +289,17 @@ class MulticoreSimulator:
         )
         run_started = perf_counter()  # repro: noqa[RPR101]
         l2_accesses = 0
+        # Core clocks and miss intensities run as plain floats (the same
+        # doubles the arrays hold) and are written back when the run ends.
+        core_time = self.core_time.tolist()
+        intensity = self._intensity.tolist()
+        ema = timing.intensity_ema
+        switch_cycles = sched.config.context_switch_cycles
+        unit = self.signature_unit
+        # Enabled runs sum phase seconds and op counts in locals and hand
+        # them to `prof` once, when the run ends.
+        interleave_s = trace_s = l2_s = signature_s = timing_s = monitor_s = 0.0
+        batches = refs = invocations = 0
         try:
             while True:
                 if prof is not None:
@@ -297,20 +308,21 @@ class MulticoreSimulator:
                 if not runnable:
                     break
                 # wall = least-advanced runnable core; it executes next.
-                core = min(runnable, key=lambda c: self.core_time[c])
-                wall = self.core_time[core]
+                core = min(runnable, key=core_time.__getitem__)
+                wall = core_time[core]
                 if max_wall_cycles is not None and wall >= max_wall_cycles:
                     break
                 if next_invocation is not None and wall >= next_invocation:
                     if prof is not None:
                         t1 = perf_counter()  # repro: noqa[RPR101]
-                        prof.add("interleave", t1 - t0, 0)
+                        interleave_s += t1 - t0
                     decision = self.monitor.invoke(self.syscall)
                     if decision is not None:
                         decisions.append(decision.canonical())
                     if prof is not None:
                         elapsed = perf_counter() - t1  # repro: noqa[RPR101]
-                        prof.add("monitor", elapsed)
+                        monitor_s += elapsed
+                        invocations += 1
                         if metrics is not None:
                             metrics.histogram(
                                 "sim_monitor_invoke_seconds", DURATION_BUCKETS,
@@ -318,9 +330,7 @@ class MulticoreSimulator:
                                 "(mapping-decision latency)",
                             ).observe(elapsed)
                         if occupancy_hist is not None:
-                            occupancy_hist.observe(
-                                float(self.signature_unit.total_occupancy())
-                            )
+                            occupancy_hist.observe(float(unit.total_occupancy()))
                     next_invocation += interval
                     continue
 
@@ -328,12 +338,14 @@ class MulticoreSimulator:
                 n = min(batch, task.remaining_accesses)
                 if prof is not None:
                     t1 = perf_counter()  # repro: noqa[RPR101]
-                    prof.add("interleave", t1 - t0)
+                    interleave_s += t1 - t0
+                    batches += 1
                 blocks = task.generator.next_batch(n)
                 if prof is not None:
                     t0 = t1
                     t1 = perf_counter()  # repro: noqa[RPR101]
-                    prof.add("trace_gen", t1 - t0, n)
+                    trace_s += t1 - t0
+                    refs += n
                 l1_hits = 0
                 if self._l1s is not None:
                     l1_result = self._l1s[core].access_batch(0, blocks)
@@ -349,12 +361,12 @@ class MulticoreSimulator:
                     l2_hits = l2_misses = 0
                 if prof is not None:
                     t2 = perf_counter()  # repro: noqa[RPR101]
-                    prof.add("l2_access", t2 - t1, len(blocks))
+                    l2_s += t2 - t1
                     l2_accesses += len(blocks)
                     if miss_hist is not None:
                         miss_hist.observe(float(l2_misses))
-                if self.signature_unit is not None and result is not None:
-                    self.signature_unit.record_events(
+                if unit is not None and result is not None:
+                    unit.record_events(
                         core,
                         result.fills,
                         result.fill_slots,
@@ -364,15 +376,11 @@ class MulticoreSimulator:
                     )
                 if prof is not None:
                     t3 = perf_counter()  # repro: noqa[RPR101]
-                    if self.signature_unit is not None:
-                        prof.add("signature", t3 - t2)
-                other = float(
-                    sum(
-                        self._intensity[c]
-                        for c in runnable
-                        if c != core
-                    )
-                )
+                    signature_s += t3 - t2
+                other = 0.0
+                for c in runnable:
+                    if c != core:
+                        other += intensity[c]
                 cycles = timing.batch_cycles(
                     instructions=task.instructions_for(n),
                     l2_hits=l2_hits,
@@ -383,26 +391,31 @@ class MulticoreSimulator:
                 )
                 if cycles <= 0:
                     raise SimulationError("non-positive batch cycle count")
-                ema = timing.intensity_ema
-                self._intensity[core] = (
-                    (1 - ema) * self._intensity[core] + ema * (l2_misses / cycles)
+                intensity[core] = (
+                    (1 - ema) * intensity[core] + ema * (l2_misses / cycles)
                 )
-                self.core_time[core] += cycles
+                core_time[core] += cycles
                 completed = task.advance(n, cycles)
                 expired = sched.charge(core, cycles)
                 if expired or completed:
                     sched.context_switch(core)
-                    self.core_time[core] += sched.config.context_switch_cycles
+                    core_time[core] += switch_cycles
                 if prof is not None:
-                    prof.add("timing", perf_counter() - t3)  # repro: noqa[RPR101]
+                    timing_s += perf_counter() - t3  # repro: noqa[RPR101]
                 if all(t.completed_once for t in self.tasks):
-                    if (
-                        min_wall_cycles is None
-                        or self.core_time.max() >= min_wall_cycles
-                    ):
+                    if min_wall_cycles is None or max(core_time) >= min_wall_cycles:
                         break
         finally:
+            self.core_time[:] = core_time
+            self._intensity[:] = intensity
             if tel is not None:
+                prof.add("interleave", interleave_s, batches)
+                prof.add("trace_gen", trace_s, refs)
+                prof.add("l2_access", l2_s, l2_accesses)
+                if unit is not None:
+                    prof.add("signature", signature_s, batches)
+                prof.add("timing", timing_s, batches)
+                prof.add("monitor", monitor_s, invocations)
                 self._emit_telemetry(
                     tel, prof, run_span, run_started, l2_accesses
                 )

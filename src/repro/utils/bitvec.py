@@ -1,9 +1,13 @@
-"""Packed bit vectors used for Bloom-filter signatures.
+"""Bit vectors used for Bloom-filter signatures.
 
-A :class:`BitVector` stores ``n`` bits packed into a ``numpy`` ``uint64``
-array. All bulk operations (set/clear many indices, boolean combinations,
-popcount) are vectorised; single-bit operations are also provided for the
-exact-semantics signature mode.
+A :class:`BitVector` stores ``n`` bits as a ``numpy`` bool array, one
+byte per bit, so a batch of indices is set or cleared with one fancy
+assignment and popcount is one ``count_nonzero``. All bulk operations
+(set/clear many indices, boolean combinations, popcount) are vectorised;
+single-bit operations are also provided for the exact-semantics
+signature mode. A vector may be a view of one row of a larger bool
+matrix (the signature unit keeps every core's filter in one), in which
+case writes through either go to the same memory.
 
 The signature metrics of the paper (Section 3.1) are boolean algebra over
 these vectors:
@@ -23,36 +27,21 @@ from repro.utils.validation import require_positive
 
 __all__ = ["BitVector"]
 
-_WORD_BITS = 64
-
-
-def _popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits across a uint64 array."""
-    # View as bytes and unpack: C-speed popcount without external deps.
-    return int(np.unpackbits(words.view(np.uint8)).sum())
-
 
 class BitVector:
-    """A fixed-size bit vector packed into uint64 words.
+    """A fixed-size bit vector, one bool per bit.
 
     Parameters
     ----------
     size:
-        Number of bits. Need not be a multiple of 64; bits past ``size``
-        are kept zero by masking after every mutating operation.
+        Number of bits.
     """
 
-    __slots__ = ("size", "_words", "_tail_mask")
+    __slots__ = ("size", "_bits")
 
     def __init__(self, size: int):
         self.size = require_positive(size, "size")
-        nwords = (self.size + _WORD_BITS - 1) // _WORD_BITS
-        self._words = np.zeros(nwords, dtype=np.uint64)
-        tail_bits = self.size - (nwords - 1) * _WORD_BITS
-        if tail_bits == _WORD_BITS:
-            self._tail_mask = np.uint64(0xFFFFFFFFFFFFFFFF)
-        else:
-            self._tail_mask = np.uint64((1 << tail_bits) - 1)
+        self._bits = np.zeros(self.size, dtype=bool)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -65,15 +54,16 @@ class BitVector:
         return vec
 
     @classmethod
-    def _from_words(cls, size: int, words: np.ndarray) -> "BitVector":
-        vec = cls(size)
-        vec._words = words
-        vec._mask_tail()
+    def _backed_by(cls, bits: np.ndarray) -> "BitVector":
+        """A vector over the 1-D bool array *bits*, shared, not copied."""
+        vec = cls.__new__(cls)
+        vec.size = len(bits)
+        vec._bits = bits
         return vec
 
     def copy(self) -> "BitVector":
         """Return an independent copy of this vector."""
-        return BitVector._from_words(self.size, self._words.copy())
+        return BitVector._backed_by(self._bits.copy())
 
     # ------------------------------------------------------------------
     # single-bit operations
@@ -81,17 +71,17 @@ class BitVector:
     def set(self, index: int) -> None:
         """Set bit *index* to 1."""
         self._check_index(index)
-        self._words[index >> 6] |= np.uint64(1 << (index & 63))
+        self._bits[index] = True
 
     def clear(self, index: int) -> None:
         """Clear bit *index* to 0."""
         self._check_index(index)
-        self._words[index >> 6] &= np.uint64(~(1 << (index & 63)) & 0xFFFFFFFFFFFFFFFF)
+        self._bits[index] = False
 
     def test(self, index: int) -> bool:
         """Return True iff bit *index* is set."""
         self._check_index(index)
-        return bool(self._words[index >> 6] >> np.uint64(index & 63) & np.uint64(1))
+        return bool(self._bits[index])
 
     # ------------------------------------------------------------------
     # bulk operations
@@ -102,9 +92,7 @@ class BitVector:
             return
         idx = np.asarray(indices, dtype=np.int64)
         self._check_indices(idx)
-        words = idx >> 6
-        bits = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
-        np.bitwise_or.at(self._words, words, bits)
+        self._bits[idx] = True
 
     def clear_many(self, indices: np.ndarray) -> None:
         """Clear every bit listed in *indices* (duplicates allowed)."""
@@ -112,10 +100,7 @@ class BitVector:
             return
         idx = np.asarray(indices, dtype=np.int64)
         self._check_indices(idx)
-        words = idx >> 6
-        bits = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
-        inv = np.bitwise_not(bits)
-        np.bitwise_and.at(self._words, words, inv)
+        self._bits[idx] = False
 
     def test_many(self, indices: np.ndarray) -> np.ndarray:
         """Return a boolean array: for each index, whether the bit is set."""
@@ -123,74 +108,68 @@ class BitVector:
         if len(idx) == 0:
             return np.zeros(0, dtype=bool)
         self._check_indices(idx)
-        words = self._words[idx >> 6]
-        return ((words >> (idx & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
+        return self._bits[idx]
 
     def zero(self) -> None:
         """Clear the entire vector."""
-        self._words.fill(0)
+        self._bits.fill(False)
 
     def fill(self) -> None:
         """Set the entire vector to all ones."""
-        self._words.fill(0xFFFFFFFFFFFFFFFF)
-        self._mask_tail()
+        self._bits.fill(True)
 
     def load_from(self, other: "BitVector") -> None:
         """Overwrite this vector's contents with *other*'s (snapshot copy)."""
         self._check_same_size(other)
-        np.copyto(self._words, other._words)
+        np.copyto(self._bits, other._bits)
 
     # ------------------------------------------------------------------
     # boolean algebra (new vectors)
     # ------------------------------------------------------------------
     def __and__(self, other: "BitVector") -> "BitVector":
         self._check_same_size(other)
-        return BitVector._from_words(self.size, self._words & other._words)
+        return BitVector._backed_by(self._bits & other._bits)
 
     def __or__(self, other: "BitVector") -> "BitVector":
         self._check_same_size(other)
-        return BitVector._from_words(self.size, self._words | other._words)
+        return BitVector._backed_by(self._bits | other._bits)
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         self._check_same_size(other)
-        return BitVector._from_words(self.size, self._words ^ other._words)
+        return BitVector._backed_by(self._bits ^ other._bits)
 
     def __invert__(self) -> "BitVector":
-        return BitVector._from_words(self.size, np.bitwise_not(self._words))
+        return BitVector._backed_by(~self._bits)
 
     def andnot(self, other: "BitVector") -> "BitVector":
         """Return ``self & ~other`` — the paper's RBV when self=CF, other=LF."""
         self._check_same_size(other)
-        return BitVector._from_words(
-            self.size, self._words & np.bitwise_not(other._words)
-        )
+        return BitVector._backed_by(self._bits & ~other._bits)
 
     # ------------------------------------------------------------------
     # aggregate queries
     # ------------------------------------------------------------------
     def popcount(self) -> int:
         """Number of set bits (the paper's 'occupancy weight' when on an RBV)."""
-        return _popcount_words(self._words)
+        return int(np.count_nonzero(self._bits))
 
     def and_popcount(self, other: "BitVector") -> int:
-        """popcount(self & other) without materialising the intermediate."""
+        """popcount(self & other)."""
         self._check_same_size(other)
-        return _popcount_words(self._words & other._words)
+        return int(np.count_nonzero(self._bits & other._bits))
 
     def xor_popcount(self, other: "BitVector") -> int:
         """popcount(self ^ other) — the paper's symbiosis metric."""
         self._check_same_size(other)
-        return _popcount_words(self._words ^ other._words)
+        return int(np.count_nonzero(self._bits ^ other._bits))
 
     def to_indices(self) -> np.ndarray:
         """Return the sorted array of set-bit indices."""
-        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little")
-        return np.nonzero(bits[: self.size])[0].astype(np.int64)
+        return self._bits.nonzero()[0].astype(np.int64)
 
     def to_bool_array(self) -> np.ndarray:
         """Return the vector as a dense boolean numpy array of length size."""
-        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little")
-        return bits[: self.size].astype(bool)
+        return self._bits.copy()
 
     # ------------------------------------------------------------------
     # dunder plumbing
@@ -202,14 +181,14 @@ class BitVector:
         if not isinstance(other, BitVector):
             return NotImplemented
         return self.size == other.size and bool(
-            np.array_equal(self._words, other._words)
+            np.array_equal(self._bits, other._bits)
         )
 
     def __hash__(self) -> int:  # pragma: no cover - mutable, but tests want sets
         raise TypeError("BitVector is mutable and unhashable")
 
     def __iter__(self) -> Iterator[bool]:
-        return iter(self.to_bool_array().tolist())
+        return iter(self._bits.tolist())
 
     def __repr__(self) -> str:
         return f"BitVector(size={self.size}, popcount={self.popcount()})"
@@ -217,9 +196,6 @@ class BitVector:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _mask_tail(self) -> None:
-        self._words[-1] &= self._tail_mask
-
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.size:
             raise IndexError(f"bit index {index} out of range [0, {self.size})")

@@ -28,6 +28,12 @@ __all__ = ["TraceGenerator", "WorkloadProfile", "BLOCK_BYTES"]
 #: Cache-line size assumed when converting working-set bytes to blocks.
 BLOCK_BYTES = 64
 
+#: Most references a generator invariant at every split draws ahead of
+#: the calls that read them (see :class:`TraceGenerator`).
+READ_AHEAD = 8192
+
+_NO_BLOCKS = np.empty(0, dtype=np.int64)
+
 
 class TraceGenerator:
     """Stateful, deterministic block-address stream.
@@ -35,6 +41,20 @@ class TraceGenerator:
     Subclasses implement :meth:`_generate`; the base class handles the
     address-space base offset (so co-scheduled processes never share lines
     unless sharing is modelled explicitly) and restart bookkeeping.
+
+    **Split contract.** A generator whose :attr:`split_granule` is a
+    positive *g* is *split-invariant*: one ``next_batch(n)`` call returns
+    the same references as any run of calls whose lengths sum to *n* and
+    all but the last of which are multiples of *g*. A generator that is
+    invariant at every split (*g* = 1) reads ahead: a call that finds too
+    few references drawn draws as many as the stream has served since it
+    started, at least the call's *n* and at most :data:`READ_AHEAD`, and
+    the calls that follow are served from them. The first call after a
+    start draws exactly *n*, and a short stream wastes at most what it
+    served, while a long one is drawn in :data:`READ_AHEAD` pieces, which
+    spares the exact engine one draw per small batch. Any other generator
+    (``split_granule = 0``, the default, promises nothing) draws exactly
+    what each call asks for.
 
     Parameters
     ----------
@@ -46,6 +66,9 @@ class TraceGenerator:
         Seed of the generator's private random stream.
     """
 
+    #: Split contract granule (see the class docstring); 0 = no promise.
+    split_granule = 0
+
     def __init__(self, base_block: int = 0, seed: int = 0):
         if base_block < 0:
             raise WorkloadError(f"base_block must be >= 0, got {base_block}")
@@ -53,6 +76,7 @@ class TraceGenerator:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self.blocks_generated = 0
+        self._drop_read_ahead()
 
     # -- subclass hook --------------------------------------------------
     def _generate(self, n: int) -> np.ndarray:
@@ -66,12 +90,16 @@ class TraceGenerator:
     def next_batch(self, n: int) -> np.ndarray:
         """Return the next *n* absolute block addresses of the stream."""
         require_positive(n, "n")
-        rel = self._generate(n)
-        if len(rel) != n:
-            raise WorkloadError(
-                f"{type(self).__name__}._generate returned {len(rel)} "
-                f"addresses, expected {n}"
-            )
+        start = self._ahead_pos
+        end = start + n
+        if end > len(self._ahead):
+            self._draw(n)
+            start, end = 0, n
+        rel = self._ahead[start:end]
+        if end == len(self._ahead):
+            self._drop_read_ahead()
+        else:
+            self._ahead_pos = end
         self.blocks_generated += n
         if self.base_block:
             return rel + self.base_block
@@ -81,7 +109,30 @@ class TraceGenerator:
         """Restart the stream from the beginning (deterministic replay)."""
         self._rng = np.random.default_rng(self.seed)
         self.blocks_generated = 0
+        self._drop_read_ahead()
         self._restart()
+
+    # -- read-ahead -------------------------------------------------------
+    def _draw(self, n: int) -> None:
+        """Refill the read-ahead: its unserved rest, then fresh references,
+        at least *n* in all."""
+        rest = self._ahead[self._ahead_pos:]
+        want = n
+        if self.split_granule == 1:
+            want = max(n, min(READ_AHEAD, self.blocks_generated))
+        size = want - len(rest)
+        rel = self._generate(size)
+        if len(rel) != size:
+            raise WorkloadError(
+                f"{type(self).__name__}._generate returned {len(rel)} "
+                f"addresses, expected {size}"
+            )
+        self._ahead = np.concatenate((rest, rel)) if len(rest) else rel
+        self._ahead_pos = 0
+
+    def _drop_read_ahead(self) -> None:
+        self._ahead = _NO_BLOCKS
+        self._ahead_pos = 0
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,8 @@ class StridedGenerator(TraceGenerator):
     Figure 1's 'same miss rate, different footprint' conflict pattern.
     """
 
+    split_granule = 1
+
     def __init__(
         self,
         region_blocks: int,
@@ -77,6 +79,8 @@ class StreamGenerator(StridedGenerator):
 class RandomRegionGenerator(TraceGenerator):
     """Uniform random references within a region (low locality)."""
 
+    split_granule = 1
+
     def __init__(self, region_blocks: int, base_block: int = 0, seed: int = 0):
         super().__init__(base_block=base_block, seed=seed)
         self.region_blocks = require_positive(region_blocks, "region_blocks")
@@ -92,6 +96,8 @@ class HotColdGenerator(TraceGenerator):
     probability *hot_fraction*, else the whole region — the standard
     cheap stand-in for a Zipf-like reuse distribution.
     """
+
+    split_granule = 1
 
     def __init__(
         self,
@@ -125,7 +131,9 @@ class HotColdGenerator(TraceGenerator):
             out[cold] = ((u[cold] - f) / (1.0 - f) * self.region_blocks).astype(
                 np.int64
             )
-        np.clip(out, 0, self.region_blocks - 1, out=out)
+        # Both branches are >= 0 by construction; only float rounding up
+        # to the region size needs clamping.
+        np.minimum(out, self.region_blocks - 1, out=out)
         return out
 
 
@@ -137,6 +145,8 @@ class PointerChaseGenerator(TraceGenerator):
     no spatial locality — the classic worst case for caches slightly
     smaller than the region.
     """
+
+    split_granule = 1
 
     def __init__(self, region_blocks: int, base_block: int = 0, seed: int = 0):
         super().__init__(base_block=base_block, seed=seed)
@@ -170,6 +180,8 @@ class SlidingWindowGenerator(TraceGenerator):
     A single uniform draw per access doubles as the new/reuse decision and
     the reuse offset, keeping the stream invariant under batch splitting.
     """
+
+    split_granule = 1
 
     def __init__(
         self,
@@ -206,7 +218,8 @@ class PhasedGenerator(TraceGenerator):
     """Concatenate sub-generators, each active for a fixed access budget.
 
     Used for the aim9-like microbenchmark whose true footprint steps up and
-    down over time (Figures 2 and 5). Phases repeat cyclically.
+    down over time (Figures 2 and 5). Phases repeat cyclically. It is
+    split-invariant at any length when every phase generator is.
     """
 
     def __init__(
@@ -221,6 +234,8 @@ class PhasedGenerator(TraceGenerator):
         for _, length in phases:
             require_positive(length, "phase length")
         self.phases = list(phases)
+        if all(gen.split_granule == 1 for gen, _ in self.phases):
+            self.split_granule = 1
         self._phase_index = 0
         self._remaining = self.phases[0][1]
 
@@ -255,6 +270,11 @@ class MixtureGenerator(TraceGenerator):
 
     Chunked (rather than per-access) interleaving keeps each component's
     short-range locality intact while still blending footprints.
+
+    Each call draws one component per started chunk, so a call that ends
+    mid-chunk draws for a chunk it only partly serves: the stream is
+    split-invariant only at multiples of :attr:`CHUNK`, and only when every
+    component is split-invariant at a divisor of it.
     """
 
     CHUNK = 16
@@ -274,6 +294,11 @@ class MixtureGenerator(TraceGenerator):
             raise WorkloadError("weights must sum to a positive value")
         self.generators = list(generators)
         self.weights = np.asarray(weights, dtype=np.float64) / total
+        if all(
+            gen.split_granule and self.CHUNK % gen.split_granule == 0
+            for gen in self.generators
+        ):
+            self.split_granule = self.CHUNK
 
     def _generate(self, n: int) -> np.ndarray:
         # One vectorised draw replaces a scalar rng.choice per chunk,
@@ -281,9 +306,9 @@ class MixtureGenerator(TraceGenerator):
         # searchsorted(cdf, random()) internally, and random(m) draws
         # the same doubles as m scalar calls) — traces are byte-for-byte
         # what the per-chunk loop produced. Consecutive chunks from the
-        # same component merge into one next_batch call; every component
-        # generator is batch-split invariant, so merging cannot change
-        # its stream either.
+        # same component merge into one next_batch call, which changes a
+        # component's stream only if it is not split-invariant at CHUNK
+        # multiples.
         num_chunks = -(-n // self.CHUNK)
         cdf = np.cumsum(self.weights)
         cdf /= cdf[-1]

@@ -164,3 +164,25 @@ class TestProperties:
         for kind in ALL_KINDS:
             h = make_hash(kind, 1024)
             assert h.hash_one(block) == h.hash_one(block)
+
+
+def _loop_fold(h, blocks):
+    """The per-chunk-masked XOR fold ``XorFoldHash.hash_many`` replaced."""
+    u = h._mix(np.asarray(blocks, dtype=np.int64))
+    mask = np.uint64(h.num_entries - 1)
+    acc = np.zeros(len(u), dtype=np.uint64)
+    shift = 0
+    while shift < h.fold_bits:
+        acc ^= (u >> np.uint64(shift)) & mask
+        shift += h.index_bits
+    return acc.astype(np.int64)
+
+
+class TestFoldReference:
+    @pytest.mark.parametrize("salt_index", [0, 1, 2])
+    @pytest.mark.parametrize("log_entries", range(1, 21))
+    def test_hash_many_equals_the_loop_fold(self, log_entries, salt_index):
+        h = XorFoldHash(1 << log_entries, salt_index=salt_index)
+        rng = np.random.default_rng(log_entries * 3 + salt_index)
+        blocks = rng.integers(0, 1 << 63, 500, dtype=np.int64)
+        assert h.hash_many(blocks).tobytes() == _loop_fold(h, blocks).tobytes()

@@ -1,0 +1,154 @@
+"""Batched ``SignatureUnit.record_events`` against a naive per-event model.
+
+The reference below is plain Python: a list of counters, one ``set`` per
+Core Filter and Last Filter, and its own XOR fold of the block address.
+It applies the documented batch semantics one event at a time — every
+fill (increment, clamp at ``counter_max``, set the filling core's bit),
+then every eviction (decrement, clamp at 0, clear the bit in every core
+when the counter is zero) — and the context-switch sample
+``RBV = CF & ~LF``. Small filters, 1- to 3-bit counters and block pools
+of a few addresses make batches saturate and underflow.
+"""
+
+import dataclasses
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.signature import SignatureConfig, SignatureStats, SignatureUnit
+
+_U64 = (1 << 64) - 1
+#: The salts of hash functions 0 and 1 (function 0 is unsalted).
+_SALTS = (None, 0xC2B2AE3D27D4EB4F)
+
+
+def _xor_fold(block, entries, salt_index, fold_bits=48):
+    u = block & _U64
+    if _SALTS[salt_index] is not None:
+        u = (u * _SALTS[salt_index]) & _U64
+        u ^= u >> 31
+    bits = entries.bit_length() - 1
+    index = 0
+    for shift in range(0, fold_bits, bits):
+        index ^= (u >> shift) & (entries - 1)
+    return index
+
+
+class NaiveUnit:
+    """The split-CBF rules, one event at a time."""
+
+    def __init__(self, cores, entries, counter_bits, num_hashes):
+        self.entries = entries
+        self.num_hashes = num_hashes
+        self.counter_max = (1 << counter_bits) - 1
+        self.counters = [0] * entries
+        self.cf = [set() for _ in range(cores)]
+        self.lf = [set() for _ in range(cores)]
+        self.stats = dataclasses.asdict(SignatureStats())
+
+    def _indices(self, block):
+        out = []
+        for salt_index in range(self.num_hashes):
+            index = _xor_fold(block, self.entries, salt_index)
+            if index not in out:
+                out.append(index)
+        return out
+
+    def record(self, core, fills, evictions):
+        for block in fills:
+            self.stats["fills_tracked"] += 1
+            for i in self._indices(block):
+                if self.counters[i] == self.counter_max:
+                    self.stats["saturation_events"] += 1
+                else:
+                    self.counters[i] += 1
+                self.cf[core].add(i)
+        for block in evictions:
+            self.stats["evictions_tracked"] += 1
+            for i in self._indices(block):
+                if self.counters[i] == 0:
+                    self.stats["underflow_events"] += 1
+                else:
+                    self.counters[i] -= 1
+                if self.counters[i] == 0:
+                    for cf in self.cf:
+                        cf.discard(i)
+
+    def context_switch(self, core):
+        rbv = self.cf[core] - self.lf[core]
+        sample = (len(rbv), [len(rbv ^ cf) for cf in self.cf])
+        self.lf[core] = set(self.cf[core])
+        self.stats["context_switches"] += 1
+        return sample
+
+
+def _bits(vec):
+    return set(vec.to_indices().tolist())
+
+
+@st.composite
+def scenarios(draw):
+    cores = draw(st.integers(1, 4))
+    pool = draw(
+        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8, unique=True)
+    )
+    blocks = st.lists(st.sampled_from(pool), max_size=24)
+    batches = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, cores - 1),
+                blocks,
+                blocks,
+                st.lists(st.integers(0, cores - 1), max_size=3),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return cores, batches
+
+
+@given(
+    scenario=scenarios(),
+    counter_bits=st.integers(1, 3),
+    num_hashes=st.integers(1, 2),
+    num_sets=st.sampled_from([4, 8]),
+)
+@example(
+    # Saturate one counter, then evict more often than it was filled.
+    scenario=(2, [(0, [5] * 12, [], [0]), (1, [], [5] * 20, [0, 1])]),
+    counter_bits=1,
+    num_hashes=1,
+    num_sets=4,
+)
+@example(
+    scenario=(3, [(2, [1, 17, 33] * 5, [17], [2, 1]), (0, [9], [1, 9, 9], [2])]),
+    counter_bits=2,
+    num_hashes=2,
+    num_sets=8,
+)
+@settings(max_examples=80, deadline=None)
+def test_batches_match_the_per_event_model(
+    scenario, counter_bits, num_hashes, num_sets
+):
+    cores, batches = scenario
+    config = SignatureConfig(
+        num_cores=cores,
+        num_sets=num_sets,
+        ways=2,
+        counter_bits=counter_bits,
+        num_hashes=num_hashes,
+    )
+    unit = SignatureUnit(config)
+    ref = NaiveUnit(cores, unit.num_entries, counter_bits, num_hashes)
+    for core, fills, evictions, switches in batches:
+        unit.record_events(core, fills, None, evictions, None)
+        ref.record(core, fills, evictions)
+        for switched in switches:
+            sample = unit.on_context_switch(switched)
+            expected = ref.context_switch(switched)
+            assert (sample.occupancy, list(sample.symbiosis)) == expected
+        assert unit.counters.tolist() == ref.counters
+        assert [_bits(cf) for cf in unit.core_filters] == ref.cf
+        assert [_bits(lf) for lf in unit.last_filters] == ref.lf
+        assert dataclasses.asdict(unit.stats) == ref.stats
