@@ -2,7 +2,7 @@
 two-phase adaptation, the MIN-CUT solver suite and the user-level monitor."""
 
 from repro.alloc.base import AllocationPolicy, group_sizes
-from repro.alloc.graph import interference_matrix, to_networkx
+from repro.alloc.graph import interference_matrix
 from repro.alloc.interference import InterferenceGraphPolicy
 from repro.alloc.mincut import (
     MINCUT_METHODS,
@@ -23,7 +23,6 @@ __all__ = [
     "AllocationPolicy",
     "group_sizes",
     "interference_matrix",
-    "to_networkx",
     "InterferenceGraphPolicy",
     "MINCUT_METHODS",
     "bisect_min_cut",

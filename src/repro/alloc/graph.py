@@ -37,14 +37,13 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.alloc.base import require_valid_views
 from repro.errors import AllocationError
 from repro.sched.syscall import TaskView
 
-__all__ = ["interference_matrix", "to_networkx"]
+__all__ = ["interference_matrix"]
 
 
 def interference_matrix(
@@ -77,17 +76,3 @@ def interference_matrix(
             weights[i, j] = weights[j, i] = edge
     return tids, weights
 
-
-def to_networkx(tids: Sequence[int], weights: np.ndarray) -> nx.Graph:
-    """Materialise the matrix as a networkx graph (for inspection/tests)."""
-    n = len(tids)
-    if weights.shape != (n, n):
-        raise AllocationError(
-            f"weight matrix shape {weights.shape} mismatches {n} tids"
-        )
-    graph = nx.Graph()
-    graph.add_nodes_from(tids)
-    for i in range(n):
-        for j in range(i + 1, n):
-            graph.add_edge(tids[i], tids[j], weight=float(weights[i, j]))
-    return graph

@@ -8,7 +8,6 @@ from repro.cache.config import (
     core2duo_l2,
     p4xeon_l2,
     tiny_cache,
-    typical_l1,
 )
 from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
 from repro.cache.prefetch import PrefetchingCache, PrefetchStats
@@ -30,7 +29,6 @@ __all__ = [
     "core2duo_l2",
     "p4xeon_l2",
     "tiny_cache",
-    "typical_l1",
     "CacheHierarchy",
     "HierarchyResult",
     "PrefetchingCache",

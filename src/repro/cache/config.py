@@ -21,7 +21,6 @@ __all__ = [
     "CacheConfig",
     "core2duo_l2",
     "p4xeon_l2",
-    "typical_l1",
     "tiny_cache",
 ]
 
@@ -116,15 +115,6 @@ def p4xeon_l2(replacement: str = "lru") -> CacheConfig:
     return CacheConfig(
         name="p4xeon-l2",
         geometry=CacheGeometry(size_bytes=2 * 1024 * 1024, line_bytes=64, ways=8),
-        replacement=replacement,
-    )
-
-
-def typical_l1(replacement: str = "lru") -> CacheConfig:
-    """A 32 KB 8-way private L1 data cache."""
-    return CacheConfig(
-        name="l1d",
-        geometry=CacheGeometry(size_bytes=32 * 1024, line_bytes=64, ways=8),
         replacement=replacement,
     )
 

@@ -6,14 +6,12 @@ incremental mapper's partition — in memory. This package makes that
 world survive ``kill -9``:
 
 * :class:`~repro.durable.wal.EventWAL` — an fsynced, torn-tail-tolerant
-  write-ahead log in the style of :class:`repro.jobs.journal.RunJournal`:
-  every scheduling event is durably appended *before* the daemon applies
-  it, so a crash can lose at most an event the client never got an
-  answer for (and will retry).
+  write-ahead log: every scheduling event is durably appended *before*
+  the daemon applies it, so a crash can lose at most an event the client
+  never got an answer for (and will retry).
 * :class:`~repro.durable.snapshot.SnapshotStore` — periodic checksummed
-  snapshots of the full service state, written atomically
-  (write-tmp/fsync/rename, the :class:`repro.jobs.cache.ResultCache`
-  protocol) with corrupt snapshots quarantined, never trusted.
+  snapshots of the full service state, published atomically, with
+  corrupt snapshots quarantined, never trusted.
 * :mod:`~repro.durable.state` — the (de)serialisation of service state
   to a canonical JSON-native form, plus a fingerprint over it; the
   recovery equivalence tests compare fingerprints, not prose.
@@ -24,6 +22,10 @@ world survive ``kill -9``:
   daemon talks to: WAL append per event, snapshot every N events, WAL
   compaction behind each published snapshot, and the
   ``durable_*`` metrics.
+
+Both are built on :mod:`repro.fileio`, the append log and atomic
+publish shared with the run journal, the poison quarantine and the
+result cache.
 
 Recovery (``SchedulerService.recover``) loads the newest intact
 snapshot, replays the WAL tail through the daemon's own event handler,

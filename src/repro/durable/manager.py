@@ -24,12 +24,12 @@ All ``durable_*`` metrics live here, behind the house telemetry guard
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.durable.snapshot import SnapshotStore
 from repro.durable.wal import EventWAL
 from repro.errors import ConfigurationError
+from repro.fileio import check_root
 from repro.telemetry.context import current as telemetry_current
 
 __all__ = ["DurabilityManager"]
@@ -61,11 +61,7 @@ class DurabilityManager:
             raise ConfigurationError(
                 f"snapshot_interval must be >= 1, got {snapshot_interval}"
             )
-        self.state_dir = Path(state_dir)
-        if self.state_dir.exists() and not self.state_dir.is_dir():
-            raise ConfigurationError(
-                f"state_dir {self.state_dir} exists and is not a directory"
-            )
+        self.state_dir = check_root(state_dir, "state_dir")
         self.snapshot_interval = snapshot_interval
         self.wal = EventWAL(
             self.state_dir / "events.wal", fsync_every=fsync_every
@@ -116,6 +112,10 @@ class DurabilityManager:
         tel = telemetry_current()
         if tel is not None and tel.metrics is not None:
             tel.metrics.counter("durable_snapshots_total").inc()
+
+    def close(self) -> None:
+        """Release the WAL's file handle; the next event reopens it."""
+        self.wal.close()
 
     # -- recovery path -------------------------------------------------
 

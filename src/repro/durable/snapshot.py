@@ -9,17 +9,15 @@ One file (``snapshot.json``) holding a versioned envelope::
 hand-edited fails verification and is treated exactly like one that
 does not parse.
 
-The write protocol is the repo's standard atomic-durable publish
-(:class:`repro.jobs.cache.ResultCache`): serialise fully, write to a
-temporary file in the destination directory, flush, ``fsync``, then
-``os.replace`` — readers see the old snapshot or the new one, never a
-mixture, and a power loss after the rename cannot surface an empty
-committed file.
+A save is one :func:`repro.fileio.publish`: readers see the old
+snapshot or the new one, never a mixture, and a power loss after the
+rename cannot surface an empty committed file.
 
-A corrupt snapshot is **quarantined**, not deleted: it is renamed to a
-collision-proof ``snapshot.json.corrupt[.N]`` so the evidence survives
-for post-mortems, the failure is counted and logged once at warning
-level, and recovery falls back to replaying the full WAL — slower, but
+A corrupt snapshot is **quarantined**, not deleted: it is moved aside to
+a collision-proof ``snapshot.json.corrupt[.N]``
+(:func:`repro.fileio.move_aside`) so the evidence survives for
+post-mortems, the failure is counted and logged once at warning level,
+and recovery falls back to replaying the full WAL — slower, but
 correct.
 """
 
@@ -28,12 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.fileio import check_root, move_aside, publish
 from repro.jobs.keys import canonical_json
 
 __all__ = ["SNAPSHOT_SCHEMA_VERSION", "SnapshotStore"]
@@ -63,11 +59,7 @@ class SnapshotStore:
     FILENAME = "snapshot.json"
 
     def __init__(self, root) -> None:
-        self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise ConfigurationError(
-                f"snapshot root {self.root} exists and is not a directory"
-            )
+        self.root = check_root(root, "snapshot root")
         self.writes = 0
         self.corrupt = 0
         self._warned = False
@@ -82,9 +74,7 @@ class SnapshotStore:
     def save(self, state: Dict[str, Any], last_lsn: int) -> Path:
         """Atomically publish a snapshot covering WAL records <= *last_lsn*.
 
-        The envelope is fully serialised before any file is touched;
-        the temporary lives in the destination directory so the final
-        ``os.replace`` never crosses filesystems.
+        The envelope is fully serialised before any file is touched.
         """
         envelope = canonical_json(
             {
@@ -94,22 +84,7 @@ class SnapshotStore:
                 "state": state,
             }
         )
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".snapshot-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(envelope + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass  # already renamed or never created; nothing to clean
-            raise
+        publish(self.path, envelope + "\n")
         self.writes += 1
         return self.path
 
@@ -146,21 +121,11 @@ class SnapshotStore:
         return state, last_lsn
 
     def _quarantine(self, reason: str) -> None:
-        """Move the corrupt snapshot aside (collision-proof) and count it."""
+        """Move the corrupt snapshot aside and count it."""
         self.corrupt += 1
-        path = self.path
-        target = path.with_name(path.name + ".corrupt")
-        counter = 0
-        while target.exists():
-            counter += 1
-            target = path.with_name(f"{path.name}.corrupt.{counter}")
-        try:
-            # The file is already corrupt; losing this rename in a crash
-            # costs nothing — fsync-then-replace durability (RPR201) is
-            # only owed to data we still trust.
-            os.replace(path, target)  # repro: noqa[RPR201]
-        except OSError:
-            return  # raced away or unlinkable; the load already failed safe
+        target = move_aside(self.path)
+        if target is None:
+            return  # raced away or unmovable; the load already failed safe
         log = logger.warning if not self._warned else logger.debug
         self._warned = True
         log(

@@ -14,32 +14,48 @@ Each record carries a monotonically increasing **log sequence number**
   after it — an event is applied at most once across any number of
   crash/recover cycles;
 * :meth:`EventWAL.compact` discards records a published snapshot
-  already covers, atomically (write-tmp/fsync/rename), so the log's
-  length is bounded by the snapshot interval rather than by uptime.
+  already covers, atomically (:func:`repro.fileio.publish`), so the
+  log's length is bounded by the snapshot interval rather than by
+  uptime.
 
-Durability policy: every append is a single ``write`` of a full line,
-flushed to the OS before :meth:`EventWAL.append` returns — a ``kill
--9`` therefore never loses an appended record. ``fsync`` (power-loss
-durability) runs every ``fsync_every`` appends (default 1: every
-record, the :class:`repro.jobs.journal.RunJournal` discipline); raising
-it trades a bounded power-loss window for throughput, and the trade is
-recorded in the ``durable_wal_fsyncs_total`` metric.
+Durability policy: every append is one full line written through a
+kept-open :class:`repro.fileio.AppendLog` and flushed to the OS before
+:meth:`EventWAL.append` returns — a ``kill -9`` never loses an appended
+record. ``fsync`` (power-loss durability) runs every ``fsync_every``
+appends (default 1: every record); raising it trades a bounded
+power-loss window for throughput, recorded in the
+``durable_wal_fsyncs_total`` metric.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.fileio import AppendLog, publish
 from repro.jobs.keys import canonical_json
 
 __all__ = ["WAL_SCHEMA_VERSION", "EventWAL"]
 
 #: Version of the WAL record schema; bump to orphan old logs.
 WAL_SCHEMA_VERSION = 1
+
+
+def _line(lsn: int, event: Dict[str, Any]) -> str:
+    return canonical_json(
+        {"version": WAL_SCHEMA_VERSION, "lsn": lsn, "event": event}
+    )
+
+
+def _parse(record: Any) -> Tuple[int, Dict[str, Any]]:
+    """``(lsn, event)`` of one WAL line; raises on a bad record."""
+    if record["version"] != WAL_SCHEMA_VERSION:
+        raise ValueError("WAL schema mismatch")
+    lsn = record["lsn"]
+    event = record["event"]
+    if not isinstance(lsn, int) or not isinstance(event, dict):
+        raise ValueError("malformed WAL record")
+    return lsn, event
 
 
 class EventWAL:
@@ -58,9 +74,8 @@ class EventWAL:
     """
 
     def __init__(self, path, fsync_every: int = 1) -> None:
-        self.path = Path(path)
-        if self.path.exists() and self.path.is_dir():
-            raise ConfigurationError(f"WAL path {self.path} is a directory")
+        self._log = AppendLog(path, "WAL path")
+        self.path = self._log.path
         if fsync_every < 1:
             raise ConfigurationError(
                 f"fsync_every must be >= 1, got {fsync_every}"
@@ -106,27 +121,15 @@ class EventWAL:
         written with one ``write`` call, so a crash leaves at worst one
         torn trailing line — truncated by the next process's first
         append (see :meth:`_ensure_open`) and skipped by replay.
-
-        Every call also creates the log's directory if needed and opens
-        and closes the log: close to half the CPU time of one fsynced
-        append on ext4.
         """
         lsn = self.last_lsn + 1
-        line = (
-            canonical_json(
-                {"version": WAL_SCHEMA_VERSION, "lsn": lsn, "event": event}
-            )
-            + "\n"
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="ascii") as handle:
-            handle.write(line)
-            handle.flush()
+        due = self._since_fsync + 1 >= self.fsync_every
+        self._log.append(_line(lsn, event), fsync=due)
+        if due:
+            self.fsyncs += 1
+            self._since_fsync = 0
+        else:
             self._since_fsync += 1
-            if self._since_fsync >= self.fsync_every:
-                os.fsync(handle.fileno())
-                self.fsyncs += 1
-                self._since_fsync = 0
         self.records_written += 1
         self._next_lsn = lsn + 1
         return lsn
@@ -135,33 +138,23 @@ class EventWAL:
         """Force an ``fsync`` of any records the batch policy deferred."""
         if self._since_fsync == 0 or not self.path.exists():
             return
-        with open(self.path, "a", encoding="ascii") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._log.sync()
         self.fsyncs += 1
         self._since_fsync = 0
 
-    def _publish(self, records: List[Tuple[int, Dict[str, Any]]]) -> None:
-        """Atomically rewrite the log to exactly *records*.
+    def close(self) -> None:
+        """Release the file handle (without syncing deferred records);
+        the next append reopens it."""
+        self._log.close()
 
-        Write-tmp/fsync/``os.replace`` in the log's own directory — a
-        crash mid-rewrite leaves either the old complete file or the
-        new complete file, never a mixture.
-        """
-        text = "".join(
-            canonical_json(
-                {"version": WAL_SCHEMA_VERSION, "lsn": lsn, "event": event}
-            )
-            + "\n"
-            for lsn, event in records
+    def _publish(self, records: List[Tuple[int, Dict[str, Any]]]) -> None:
+        """Atomically rewrite the log to exactly *records*; the kept
+        handle points at the replaced file, so it is closed too."""
+        publish(
+            self.path,
+            "".join(_line(lsn, event) + "\n" for lsn, event in records),
         )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".compact")
-        with open(tmp, "w", encoding="ascii") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        self._log.close()
         self._since_fsync = 0
 
     # -- read path -----------------------------------------------------
@@ -176,49 +169,27 @@ class EventWAL:
         tail, which clients simply retry.
         """
         self.corrupt_lines = 0
-        try:
-            text = self.path.read_text(encoding="ascii")
-        except FileNotFoundError:
-            return []
-        except (OSError, UnicodeDecodeError):
-            self.corrupt_lines += 1
-            return []
         records: List[Tuple[int, Dict[str, Any]]] = []
         expected: Optional[int] = None
-        for line in text.split("\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if record["version"] != WAL_SCHEMA_VERSION:
-                    raise ValueError("WAL schema mismatch")
-                lsn = record["lsn"]
-                event = record["event"]
-                if not isinstance(lsn, int) or not isinstance(event, dict):
-                    raise ValueError("malformed WAL record")
-            except (ValueError, KeyError, TypeError):
+        for record in self._log.records(_parse):
+            if record is None or (expected is not None and record[0] != expected):
                 self.corrupt_lines += 1
                 break
-            if expected is not None and lsn != expected:
-                self.corrupt_lines += 1
-                break
-            expected = lsn + 1
-            if lsn > after_lsn:
-                records.append((lsn, event))
+            expected = record[0] + 1
+            if record[0] > after_lsn:
+                records.append(record)
         return records
 
     # -- maintenance ---------------------------------------------------
 
     def compact(self, up_to_lsn: int) -> int:
-        """Drop records with LSN <= *up_to_lsn*; returns records kept.
+        """Atomically drop records with LSN <= *up_to_lsn*; returns the
+        number kept.
 
-        The survivors are rewritten to a temporary file in the same
-        directory, fsynced, and published with ``os.replace`` — a crash
-        mid-compaction leaves either the old complete log or the new
-        complete log, never a mixture. The newest record is always
-        retained even when the snapshot covers it: it anchors the LSN
-        sequence, so a process reopening a fully-compacted log
-        continues numbering instead of colliding with history.
+        The newest record is always retained even when the snapshot
+        covers it: it anchors the LSN sequence, so a process reopening a
+        fully-compacted log continues numbering instead of colliding
+        with history.
         """
         last = self.last_lsn  # seeds the counter (and repairs) first
         intact = self.replay(0)

@@ -409,6 +409,20 @@ def _durable_module(analysis: Any, module: str) -> bool:
     )
 
 
+def _rename_waived(analysis: Any, event: _PublishEvent) -> bool:
+    """Whether the rename's own line carries a fsync-before-rename waiver.
+
+    A ``noqa`` for RPR201, RPR502 or RPR603 on the rename itself states
+    that it publishes nothing that must survive a crash (say, moving a
+    corrupt file aside), so no caller owes it an fsync either.
+    """
+    path = analysis.symtab.contexts[event.site_module].path
+    return any(
+        analysis.covers(path, code, event.site_line)
+        for code in ("RPR201", "RPR502", "RPR603")
+    )
+
+
 def _publish_events(
     analysis: Any,
     qname: str,
@@ -463,7 +477,8 @@ def _publish_events(
         "callee event streams into each durable-scope function and flags "
         "any helper-side rename with no fsync anywhere earlier in the "
         "combined order. Renames inside durable modules stay the per-"
-        "file rules' findings and are not re-flagged here."
+        "file rules' findings and are not re-flagged here, and a rename "
+        "whose own line waives RPR201, RPR502 or RPR603 is not a publish."
     ),
 )
 def check_cross_function_publish(analysis: Any) -> Iterator[Violation]:
@@ -498,6 +513,8 @@ def check_cross_function_publish(analysis: Any) -> Iterator[Violation]:
                     continue
                 if _durable_module(analysis, event.site_module):
                     continue  # that module's own per-file finding
+                if _rename_waived(analysis, event):
+                    continue
                 key = (qname, event.site_module, event.site_line)
                 if key in flagged:
                     continue

@@ -7,18 +7,18 @@ directories small for large sweeps. Each file is a versioned envelope::
 
 Guarantees:
 
-* **Atomic, durable writes** — results are written to a temporary file
-  in the destination directory, ``fsync``-ed, and published with
-  ``os.replace``, so readers never observe a torn file, a power loss
-  cannot leave a zero-length "committed" entry, and concurrent writers
-  of the same key simply race to install identical bytes.
+* **Atomic, durable writes** — each entry is one
+  :func:`repro.fileio.publish`, so readers never observe a torn file, a
+  power loss cannot leave a zero-length "committed" entry, and
+  concurrent writers of the same key simply race to install identical
+  bytes.
 * **Corruption tolerance with quarantine** — unreadable, truncated,
   mis-keyed or wrong-version entries are treated as misses (and
-  counted), never raised; the offending file is renamed to
-  ``<name>.json.corrupt`` so the evidence survives for post-mortems
-  while the entry is transparently recomputed. The first quarantine per
-  cache instance is logged at warning level, the rest at debug — one
-  loud signal, no log spam.
+  counted), never raised; the offending file is moved aside to
+  ``<name>.json.corrupt[.N]`` (:func:`repro.fileio.move_aside`) so the
+  evidence survives for post-mortems while the entry is transparently
+  recomputed. The first quarantine per cache instance is logged at
+  warning level, the rest at debug — one loud signal, no log spam.
 * **Versioned schema** — :data:`CACHE_SCHEMA_VERSION` is embedded in the
   envelope; bumping it orphans old entries instead of misreading them.
 
@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.errors import ConfigurationError
+from repro.fileio import check_root, move_aside, publish
 from repro.jobs.keys import canonical_json
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "ResultCache"]
@@ -71,11 +69,7 @@ class ResultCache:
     """
 
     def __init__(self, root) -> None:
-        self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise ConfigurationError(
-                f"cache root {self.root} exists and is not a directory"
-            )
+        self.root = check_root(root, "cache root")
         self.stats = CacheStats()
 
     def path_for(self, key: str) -> Path:
@@ -88,8 +82,8 @@ class ResultCache:
         Every failure mode — missing file, unreadable bytes, invalid
         JSON, version or key mismatch, missing outcome field — is a miss;
         corrupt entries additionally bump ``stats.corrupt`` and are
-        quarantined (renamed to ``<name>.json.corrupt``) so the evidence
-        survives while the next ``put`` reinstalls a clean entry.
+        moved aside so the evidence survives while the next ``put``
+        reinstalls a clean entry.
         """
         path = self.path_for(key)
         try:
@@ -118,33 +112,12 @@ class ResultCache:
         return outcome
 
     def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt entry aside (``.corrupt`` suffix) and count it.
-
-        The destination name is collision-proof: a key corrupted twice
-        (recomputed after the first quarantine, then corrupted again)
-        lands in ``<name>.corrupt.1``, ``.corrupt.2``, … instead of
-        ``os.replace`` silently overwriting the earlier evidence.
-
-        The first quarantine per cache instance logs at warning level so
-        the operator sees one loud signal; subsequent ones log at debug.
-        Rename failures (e.g. the file vanished under us) are swallowed —
-        quarantine is best-effort evidence preservation, never an error.
-        """
+        """Move a corrupt entry aside and count it; the first move per
+        cache instance logs at warning level, later ones at debug."""
         self.stats.corrupt += 1
-        level = logging.WARNING if self.stats.quarantined == 0 else logging.DEBUG
-        target = path.with_name(path.name + ".corrupt")
-        counter = 0
-        while target.exists():
-            counter += 1
-            target = path.with_name(f"{path.name}.corrupt.{counter}")
-        try:
-            # Quarantine is best-effort evidence preservation: the entry is
-            # already corrupt, so losing the rename in a crash costs nothing
-            # — the durable fsync-then-replace protocol (RPR201) is only
-            # required on the publish path in put().
-            os.replace(path, target)  # repro: noqa[RPR201]
-        except OSError:
+        if move_aside(path) is None:
             return
+        level = logging.WARNING if self.stats.quarantined == 0 else logging.DEBUG
         self.stats.quarantined += 1
         logger.log(
             level,
@@ -154,37 +127,15 @@ class ResultCache:
         )
 
     def put(self, key: str, spec: Dict[str, Any], outcome: Dict[str, Any]) -> Path:
-        """Atomically store *outcome* (and its spec, for auditing).
-
-        The envelope is staged in a temporary file within the target
-        directory, flushed and ``fsync``-ed, then installed with
-        ``os.replace`` — so a crash mid-write never leaves a partially
-        written entry under the final name, and a power loss immediately
-        after the replace cannot surface a committed-but-empty file.
-        """
+        """Atomically and durably store *outcome* (and its spec, for
+        auditing)."""
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         envelope = {
             "version": CACHE_SCHEMA_VERSION,
             "key": key,
             "spec": spec,
             "outcome": outcome,
         }
-        text = canonical_json(envelope)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".{key[:8]}-", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        publish(path, canonical_json(envelope))
         self.stats.writes += 1
         return path

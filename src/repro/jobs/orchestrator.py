@@ -337,7 +337,8 @@ class Orchestrator:
         when served from the journal or the on-disk cache. In keep-going
         mode a slot may hold a :class:`JobFailure` instead of a
         :class:`~repro.jobs.spec.RunOutcome` — callers opting in must
-        check each slot.
+        check each slot. The journal's and quarantine's file handles are
+        released before this returns; the next batch reopens them.
         """
         tel = telemetry_current()
         if (
@@ -357,6 +358,9 @@ class Orchestrator:
         try:
             return self._run_specs_inner(specs)
         finally:
+            for log in (self.journal, self.quarantine):
+                if log is not None:
+                    log.close()
             if batch_span is not None:
                 tel.tracer.end(batch_span)
 

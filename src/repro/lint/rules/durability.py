@@ -5,11 +5,11 @@ recomputation but must never corrupt a result, and a fault must never
 be swallowed invisibly. Two syntactic patterns carry most of that
 contract, so they are enforced here:
 
-* **Publish-after-fsync** — ``os.replace`` is the commit point of every
-  atomic-write protocol in the tree (result cache, exporters). Without
-  an ``os.fsync`` before it, a power loss after the rename can surface
-  a committed-but-empty file — the exact torn state the protocol
-  exists to rule out.
+* **Publish-after-fsync** — ``os.replace`` is the commit point of an
+  atomic write (in the tree, only :func:`repro.fileio.publish`, which
+  every durable store shares). Without an ``os.fsync`` before it, a
+  power loss after the rename can surface a committed-but-empty file —
+  the exact torn state the protocol exists to rule out.
 * **No silent swallowing** — a bare ``except:`` (RPR202) or a broad
   ``except Exception:`` whose body neither re-raises, nor logs, nor
   even reads the exception (RPR203) turns faults into silence. Sink

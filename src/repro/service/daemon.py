@@ -315,7 +315,8 @@ class SchedulerService:
         future resolved, and only then does the consumer exit. With
         ``drain=False`` the consumer is cancelled immediately and every
         still-queued future resolves with a shutdown error (counted as
-        dropped).
+        dropped). Either way the WAL's file handle is released; a
+        restarted service reopens it on its next event.
         """
         if self._task is None:
             return
@@ -349,6 +350,8 @@ class SchedulerService:
                     )
         if self._heartbeat_board is not None:
             heartbeat.unbind()
+        if self.durability is not None:
+            self.durability.close()
         self._task = None
         self._queue = None
 

@@ -9,35 +9,42 @@ again. The quarantine is the breaker's durable memory: when a key's
 circuit trips, the orchestrator writes it here, and every later run —
 including resume-after-crash — consults the file *before* submitting.
 
-Format mirrors :class:`~repro.jobs.journal.RunJournal` (the same
-durability rules, machine-checked by RPR2xx): one JSON line per key,
-written with a single ``write``, flushed and fsynced before the caller
-proceeds::
+The file is a :class:`repro.fileio.AppendLog`: one JSON line per key,
+fsynced before the caller proceeds, with a torn tail isolated before
+each append::
 
     {"version": 1, "key": "<sha256>", "reason": "...", "failures": N}\n
 
-Loading tolerates a torn tail and garbled lines (counted in
+Loading skips torn and garbled lines (counted in
 :attr:`PoisonQuarantine.corrupt_lines`, never raised), duplicate keys
 are benign (last record wins), and a quarantined spec surfaces as a
 structured :class:`~repro.jobs.failures.JobFailure` with
 ``kind='quarantined'`` — flowing into ``SweepResult.failures`` exactly
-like PR 2's degradation events, so excluded runs are *named* in the
+like signature degradation events, so excluded runs are *named* in the
 final report rather than silently rerun or silently dropped.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.errors import ConfigurationError
+from repro.fileio import AppendLog
 
 __all__ = ["QUARANTINE_SCHEMA_VERSION", "PoisonQuarantine"]
 
 #: Version of the quarantine line schema; bump to orphan old files.
 QUARANTINE_SCHEMA_VERSION = 1
+
+
+def _parse(record: Any) -> Dict[str, Any]:
+    """One quarantine line as its record dict; raises on a bad record."""
+    if record["version"] != QUARANTINE_SCHEMA_VERSION:
+        raise ValueError("quarantine schema mismatch")
+    key = record["key"]
+    if not isinstance(key, str) or not key:
+        raise ValueError("malformed quarantine record")
+    return record
 
 
 class PoisonQuarantine:
@@ -51,38 +58,19 @@ class PoisonQuarantine:
     """
 
     def __init__(self, path) -> None:
-        self.path = Path(path)
-        if self.path.exists() and self.path.is_dir():
-            raise ConfigurationError(
-                f"quarantine path {self.path} is a directory"
-            )
+        self._log = AppendLog(path, "quarantine path")
+        self.path = self._log.path
         self.corrupt_lines = 0
         self._records: Dict[str, Dict[str, Any]] = self._load()
 
     def _load(self) -> Dict[str, Dict[str, Any]]:
         records: Dict[str, Dict[str, Any]] = {}
         self.corrupt_lines = 0
-        try:
-            text = self.path.read_text(encoding="ascii")
-        except FileNotFoundError:
-            return records
-        except (OSError, UnicodeDecodeError):
-            self.corrupt_lines += 1
-            return records
-        for line in text.split("\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if record["version"] != QUARANTINE_SCHEMA_VERSION:
-                    raise ValueError("quarantine schema mismatch")
-                key = record["key"]
-                if not isinstance(key, str) or not key:
-                    raise ValueError("malformed quarantine record")
-            except (ValueError, KeyError, TypeError):
+        for record in self._log.records(_parse):
+            if record is None:
                 self.corrupt_lines += 1
-                continue
-            records[key] = record
+            else:
+                records[record["key"]] = record
         return records
 
     def reload(self) -> None:
@@ -101,29 +89,16 @@ class PoisonQuarantine:
         # Canonical one-line JSON (sorted keys, no whitespace) — the same
         # shape as repro.jobs.keys.canonical_json, inlined so the
         # supervise package never imports repro.jobs (which imports it).
-        line = (
+        self._log.append(
             json.dumps(
                 record, sort_keys=True, separators=(",", ":"),
                 allow_nan=False,
             )
-            + "\n"
         )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._tail_is_torn():
-            line = "\n" + line
-        with open(self.path, "a", encoding="ascii") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
 
-    def _tail_is_torn(self) -> bool:
-        """True when the file is non-empty and lacks a final newline."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except (FileNotFoundError, OSError):
-            return False
+    def close(self) -> None:
+        """Release the file handle; the next add reopens it."""
+        self._log.close()
 
     def reason(self, key: str) -> Optional[str]:
         """Why *key* is quarantined (``None`` if it is not)."""

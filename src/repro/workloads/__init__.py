@@ -1,11 +1,7 @@
 """Synthetic workload substrate: trace generators and the SPEC/PARSEC-like
 benchmark profile pools (see DESIGN.md for the substitution rationale)."""
 
-from repro.workloads.aim9 import (
-    aim9_phases,
-    make_aim9_generator,
-    true_footprint_schedule,
-)
+from repro.workloads.aim9 import aim9_phases, make_aim9_generator
 from repro.workloads.arrivals import (
     EVENT_KINDS,
     ArrivalEvent,
@@ -46,7 +42,6 @@ __all__ = [
     "poisson_trace",
     "aim9_phases",
     "make_aim9_generator",
-    "true_footprint_schedule",
     "BLOCK_BYTES",
     "TraceGenerator",
     "WorkloadProfile",

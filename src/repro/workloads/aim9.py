@@ -21,7 +21,7 @@ from repro.utils.validation import require_positive
 from repro.workloads.base import BLOCK_BYTES
 from repro.workloads.patterns import PhasedGenerator, SlidingWindowGenerator
 
-__all__ = ["aim9_phases", "make_aim9_generator", "true_footprint_schedule"]
+__all__ = ["aim9_phases", "make_aim9_generator"]
 
 #: (live_window_kb, churn, accesses) phases. Window sizes and churn rates
 #: are deliberately decorrelated — small windows with heavy churn, large
@@ -75,18 +75,3 @@ def make_aim9_generator(
         subgens.append((gen, accesses))
     return PhasedGenerator(subgens, base_block=base_block, seed=seed)
 
-
-def true_footprint_schedule(
-    phases: List[Tuple[int, float, int]] = None,
-) -> List[Tuple[int, int]]:
-    """Ground-truth live working set per phase.
-
-    Returns ``(accesses_in_phase, footprint_blocks)`` pairs aligned with
-    the generator's phases, for plotting/asserting against measured
-    occupancy.
-    """
-    schedule = phases if phases is not None else aim9_phases()
-    return [
-        (accesses, max(1, window_kb * 1024 // BLOCK_BYTES))
-        for window_kb, churn, accesses in schedule
-    ]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.alloc.base import group_sizes
-from repro.alloc.graph import interference_matrix, to_networkx
+from repro.alloc.graph import interference_matrix
 from repro.alloc.interference import InterferenceGraphPolicy
 from repro.alloc.weight_sort import WeightSortPolicy
 from repro.alloc.weighted import WeightedInterferenceGraphPolicy
@@ -118,20 +118,6 @@ class TestInterferenceMatrix:
         views = [view(0, "a", 1, [1, 1]), view(0, "b", 1, [1, 1])]
         with pytest.raises(AllocationError):
             interference_matrix(views, weighted=False)
-
-    def test_to_networkx(self):
-        views = [
-            view(0, "a", 8, [10, 4], last_core=0),
-            view(1, "b", 6, [2, 30], last_core=1),
-        ]
-        tids, w = interference_matrix(views, weighted=False)
-        g = to_networkx(tids, w)
-        assert g.number_of_nodes() == 2
-        assert g[0][1]["weight"] == pytest.approx(w[0, 1])
-
-    def test_to_networkx_shape_mismatch(self):
-        with pytest.raises(AllocationError):
-            to_networkx([0, 1], np.zeros((3, 3)))
 
 
 class TestGraphPolicies:

@@ -8,7 +8,6 @@ from repro.cache.config import (
     core2duo_l2,
     p4xeon_l2,
     tiny_cache,
-    typical_l1,
 )
 from repro.errors import ConfigurationError, GeometryError
 
@@ -63,10 +62,6 @@ class TestPresets:
         cfg = p4xeon_l2()
         assert cfg.geometry.size_bytes == 2 * 1024 * 1024
         assert cfg.geometry.ways == 8
-
-    def test_typical_l1(self):
-        cfg = typical_l1()
-        assert cfg.geometry.size_bytes == 32 * 1024
 
     def test_tiny_cache_figure1_shape(self):
         # Figure 1 uses an 8-set direct-mapped cache.

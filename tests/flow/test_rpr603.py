@@ -152,3 +152,28 @@ def test_recursive_chain_terminates():
     )
     violations = flow_violations(helper, caller, select=("RPR603",))
     assert codes_of(violations) == ["RPR603"]
+
+
+def test_waived_helper_rename_is_not_a_publish():
+    # Moving a corrupt file aside publishes nothing trusted: the helper's
+    # own RPR201 waiver covers every durable caller too.
+    helper = (
+        "repro.io.atomic",
+        '"""Helper that moves corrupt files aside."""\n'
+        "import os\n"
+        "def move_aside(path, target):\n"
+        '    """Best-effort evidence rename."""\n'
+        "    os.replace(path, target)  # repro: noqa[RPR201]\n",
+    )
+    caller = (
+        "repro.durable.store",
+        '"""Durable caller quarantining a corrupt file."""\n'
+        "from repro.io.atomic import move_aside\n"
+        "def quarantine(path, target):\n"
+        '    """No fsync: the file is already corrupt."""\n'
+        "    move_aside(path, target)\n",
+    )
+    assert flow_violations(helper, caller, select=("RPR603",)) == []
+    unwaived = (helper[0], helper[1].replace("  # repro: noqa[RPR201]", ""))
+    violations = flow_violations(unwaived, caller, select=("RPR603",))
+    assert codes_of(violations) == ["RPR603"]

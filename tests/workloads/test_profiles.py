@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.aim9 import (
-    aim9_phases,
-    make_aim9_generator,
-    true_footprint_schedule,
-)
+from repro.workloads.aim9 import aim9_phases, make_aim9_generator
 from repro.workloads.base import BLOCK_BYTES, WorkloadProfile
 from repro.workloads.parsec import (
     PARSEC_PROFILES,
@@ -192,14 +188,6 @@ class TestAim9:
         ]
         for a, b in zip(phase_blocks, phase_blocks[1:]):
             assert set(a.tolist()).isdisjoint(set(b.tolist()))
-
-    def test_true_footprint_schedule_alignment(self):
-        schedule = true_footprint_schedule()
-        phases = aim9_phases()
-        assert len(schedule) == len(phases)
-        for (accesses, blocks), (kb, churn, n) in zip(schedule, phases):
-            assert accesses == n
-            assert blocks == kb * 1024 // BLOCK_BYTES
 
     def test_custom_phases(self):
         gen = make_aim9_generator(phases=[(64, 0.5, 100), (128, 0.4, 100)], seed=1)
