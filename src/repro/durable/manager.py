@@ -63,12 +63,25 @@ class DurabilityManager:
             )
         self.state_dir = check_root(state_dir, "state_dir")
         self.snapshot_interval = snapshot_interval
-        self.wal = EventWAL(
-            self.state_dir / "events.wal", fsync_every=fsync_every
-        )
         self.snapshots = SnapshotStore(self.state_dir)
+        #: LSN the published snapshot covers; read at most once.
+        self._snapshot_lsn: Optional[int] = None
+        self.wal = EventWAL(
+            self.state_dir / "events.wal",
+            fsync_every=fsync_every,
+            floor=self._covered_lsn,
+        )
         self.events_since_snapshot = 0
         self.checkpoints = 0
+
+    def _covered_lsn(self) -> int:
+        """The snapshot's LSN (0 without an intact snapshot): the WAL
+        numbers new events past it even when the log itself lost every
+        record, so recovery never skips them as already covered."""
+        if self._snapshot_lsn is None:
+            loaded = self.snapshots.load()
+            self._snapshot_lsn = 0 if loaded is None else loaded[1]
+        return self._snapshot_lsn
 
     # -- write-ahead path ----------------------------------------------
 
@@ -143,6 +156,7 @@ class DurabilityManager:
             snapshot_lsn = 0
         else:
             state, snapshot_lsn = loaded
+        self._snapshot_lsn = snapshot_lsn
         return state, snapshot_lsn, self.wal.replay(snapshot_lsn)
 
     # -- introspection -------------------------------------------------

@@ -29,7 +29,7 @@ power-loss window for throughput, recorded in the
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.fileio import AppendLog, publish
@@ -71,9 +71,20 @@ class EventWAL:
         every record — full power-loss durability; larger values bound
         the loss window to that many events while keeping kill-crash
         durability (records are always flushed to the OS).
+    floor:
+        Called once, when the log is first opened, for the LSN that
+        numbering must continue past even if the log lost it — the
+        :class:`~repro.durable.manager.DurabilityManager` passes the
+        LSN its snapshot covers. ``None`` numbers from the log alone.
     """
 
-    def __init__(self, path, fsync_every: int = 1) -> None:
+    def __init__(
+        self,
+        path,
+        fsync_every: int = 1,
+        *,
+        floor: Optional[Callable[[], int]] = None,
+    ) -> None:
         self._log = AppendLog(path, "WAL path")
         self.path = self._log.path
         if fsync_every < 1:
@@ -85,6 +96,7 @@ class EventWAL:
         self.fsyncs = 0
         self.corrupt_lines = 0
         self._since_fsync = 0
+        self._floor = floor
         self._next_lsn: Optional[int] = None  # lazily seeded from the file
 
     # -- write path ----------------------------------------------------
@@ -99,13 +111,25 @@ class EventWAL:
         invisible. Truncation is safe because ``append`` acknowledges a
         record only after its full line is written; anything replay
         distrusts was never acknowledged to a client.
+
+        Numbering continues past the larger of the last intact LSN and
+        the floor. When the floor (the snapshot) is ahead, every intact
+        record is one it already covers, and they are dropped too: a
+        record numbered past the floor must follow no gap, or strict
+        replay would stop before reaching it.
         """
         if self._next_lsn is not None:
             return
         records = self.replay(0)
-        if self.corrupt_lines > 0:
+        last = records[-1][0] if records else 0
+        floor = self._floor() if self._floor is not None else 0
+        if last < floor:
+            if records or self.corrupt_lines > 0:
+                self._publish([])
+            last = floor
+        elif self.corrupt_lines > 0:
             self._publish(records)
-        self._next_lsn = (records[-1][0] + 1) if records else 1
+        self._next_lsn = last + 1
 
     @property
     def last_lsn(self) -> int:

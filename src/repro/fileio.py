@@ -84,18 +84,25 @@ class AppendLog:
     def records(self, parse: Callable[[Any], T]) -> Iterator[Optional[T]]:
         """*parse* of each non-blank line's JSON value, in file order.
 
-        A line that is torn, garbled or rejected by *parse* (raising
-        ``ValueError``, ``KeyError`` or ``TypeError``) yields ``None``;
-        an unreadable file yields one ``None``, a missing file nothing.
+        A line that is torn, garbled, not ASCII or rejected by *parse*
+        (raising ``ValueError``, ``KeyError`` or ``TypeError``) yields
+        ``None``; each line is decoded on its own, so one bad byte costs
+        only its line. An unreadable file yields one ``None``, a missing
+        file nothing.
         """
         try:
-            text = self.path.read_text(encoding="ascii")
+            data = self.path.read_bytes()
         except FileNotFoundError:
             return
-        except (OSError, UnicodeDecodeError):
+        except OSError:
             yield None
             return
-        for line in text.split("\n"):
+        for raw in data.split(b"\n"):
+            try:
+                line = raw.decode("ascii")
+            except UnicodeDecodeError:
+                yield None
+                continue
             if not line.strip():
                 continue
             try:

@@ -37,7 +37,7 @@ class Mapping:
 
     @classmethod
     def from_groups(cls, groups: Sequence[Sequence[int]]) -> "Mapping":
-        return cls(tuple(frozenset(g) for g in groups))
+        return cls(tuple(map(frozenset, groups)))
 
     @property
     def num_cores(self) -> int:
@@ -61,19 +61,32 @@ class Mapping:
         """Core-permutation-invariant form (groups sorted by members).
 
         Two mappings that differ only in core numbering describe the same
-        schedule; canonicalisation makes majority voting meaningful.
+        schedule; canonicalisation makes majority voting meaningful. A
+        mapping already in canonical order is its own canonical form.
         """
-        ordered = sorted(self.groups, key=lambda g: sorted(g))
-        return Mapping(tuple(ordered))
+        ordered = tuple(sorted(self.groups, key=sorted))
+        if ordered == self.groups:
+            return self
+        # Reordering disjoint groups keeps them disjoint: this mapping
+        # was validated on construction, so its permutation is not.
+        canonical = object.__new__(Mapping)
+        object.__setattr__(canonical, "groups", ordered)
+        return canonical
 
     def __str__(self) -> str:
-        return " | ".join(
-            "{" + ",".join(str(t) for t in sorted(g)) + "}" for g in self.groups
-        )
+        # Formatted once, then kept beside the (frozen) fields: it takes
+        # no part in ==, hash or repr.
+        text = self.__dict__.get("_text")
+        if text is None:
+            text = " | ".join(
+                ["{%s}" % ",".join(map(str, sorted(g))) for g in self.groups]
+            )
+            self.__dict__["_text"] = text
+        return text
 
 
 def canonical_mapping(groups: Sequence[Sequence[int]]) -> Mapping:
-    """Build a canonical mapping from raw groups."""
+    """Build a canonical mapping from raw groups (validated once)."""
     return Mapping.from_groups(groups).canonical()
 
 

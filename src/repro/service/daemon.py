@@ -519,21 +519,15 @@ class SchedulerService:
                 self.breaker.record_failure(event.name, str(exc))
                 raise
             self.breaker.record_success(event.name)
-            decision = self._map(
-                lambda views: self.mapper.admit(views, event.pid), tel
-            )
+            decision = self._map(self.mapper.admit, event.pid, tel)
             return self._result("admit", event.pid, decision)
         if isinstance(event, RetireEvent):
             self.registry.retire(event.pid)
-            decision = self._map(
-                lambda views: self.mapper.retire(views, event.pid), tel
-            )
+            decision = self._map(self.mapper.retire, event.pid, tel)
             return self._result("retire", event.pid, decision)
         if isinstance(event, PhaseChangeEvent):
             self.registry.phase_change(event.pid, event.name)
-            decision = self._map(
-                lambda views: self.mapper.phase_change(views, event.pid), tel
-            )
+            decision = self._map(self.mapper.phase_change, event.pid, tel)
             return self._result("phase_change", event.pid, decision)
         if isinstance(event, SettleEvent):
             views = self.registry.views()
@@ -547,11 +541,14 @@ class SchedulerService:
             return result
         raise ServiceError(f"unknown service event {event!r}")
 
-    def _map(self, step, tel) -> MapDecision:
-        """Snapshot views, run one mapper step, apply the decision."""
-        views = self.registry.views()
+    def _map(self, step, pid: int, tel) -> MapDecision:
+        """Run one mapper step for *pid*, apply the decision.
+
+        The step reads views from the registry itself, so it builds
+        only the ones it needs; a full remap builds them all.
+        """
         decision = self._timed_step(
-            lambda: step(views), full=None, tel=tel
+            lambda: step(self.registry, pid), full=None, tel=tel
         )
         self.registry.apply_mapping(decision.mapping)
         return decision

@@ -21,12 +21,23 @@ therefore pins the wrapped policy's invocation counter for the duration
 of each ``allocate`` call, making it a pure function of the task
 snapshot — which is exactly what lets the pinned equivalence test
 compare the incremental mapper against a full-remap oracle.
+
+Views on demand
+---------------
+Each step reads task views from a :class:`ViewSource` (the daemon
+passes its :class:`~repro.service.registry.ProcessRegistry`): an
+incremental step builds only the views it reads — the placed pid on
+admit and damped phase change, the donor group's members when a
+retire rebalances — while full remaps, :meth:`IncrementalMapper.settle`
+and :meth:`IncrementalMapper.oracle` take the whole list. A plain
+sequence of views is served as a snapshot by :class:`ViewList`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.alloc.base import AllocationPolicy
 from repro.core.metrics import interference_from_symbiosis
@@ -35,7 +46,50 @@ from repro.sched.affinity import Mapping, canonical_mapping
 from repro.sched.syscall import TaskView
 from repro.service.tuning import DEFAULT_TUNING, ServiceTuning
 
-__all__ = ["StablePolicy", "MapDecision", "IncrementalMapper"]
+__all__ = [
+    "StablePolicy", "MapDecision", "IncrementalMapper", "ViewList", "ViewSource",
+]
+
+
+class ViewSource(Protocol):
+    """Where a mapper step reads its task views from."""
+
+    def view(self, pid: int) -> TaskView:
+        """The view of one pid; ``ServiceError`` when there is none."""
+        ...
+
+    def views(self) -> Sequence[TaskView]:
+        """Every view, ordered by pid."""
+        ...
+
+
+class ViewList:
+    """A materialised snapshot of task views, served as a
+    :class:`ViewSource` (the first view of a pid wins)."""
+
+    def __init__(self, views: Sequence[TaskView]) -> None:
+        self._views = views
+
+    def view(self, pid: int) -> TaskView:
+        """The view of *pid* in the snapshot."""
+        for view in self._views:
+            if view.tid == pid:
+                return view
+        raise ServiceError(f"pid {pid} missing from task views")
+
+    def views(self) -> Sequence[TaskView]:
+        """The snapshot itself."""
+        return self._views
+
+
+#: What every mapper step accepts: a view source or a snapshot list.
+TaskViews = Union[ViewSource, Sequence[TaskView]]
+
+
+def _source(views: TaskViews) -> ViewSource:
+    if isinstance(views, SequenceABC):
+        return ViewList(views)
+    return views
 
 
 class StablePolicy:
@@ -140,8 +194,11 @@ class IncrementalMapper:
         self.incremental_updates = 0
         self.damped_updates = 0
         #: Working partition, indexed by core (NOT canonicalised — core
-        #: identity must survive incremental repair steps).
+        #: identity must survive incremental repair steps). Each group
+        #: stays sorted; every change clears :attr:`_mapping`.
         self._groups: List[List[int]] = [[] for _ in range(num_cores)]
+        #: Canonical form of ``_groups``, built once per change.
+        self._mapping: Optional[Mapping] = None
         # Flap-guard state: only populated when the guard is armed.
         self._event_index = 0
         self._flap_history: Dict[int, List[int]] = {}
@@ -152,50 +209,65 @@ class IncrementalMapper:
     @property
     def mapping(self) -> Mapping:
         """The current mapping in canonical (core-permutation) form."""
-        return canonical_mapping(self._groups)
+        if self._mapping is None:
+            self._mapping = canonical_mapping(self._groups)
+        return self._mapping
 
-    def oracle(self, views: Sequence[TaskView]) -> Mapping:
+    def oracle(self, views: TaskViews) -> Mapping:
         """What a from-scratch full remap would decide for *views*.
 
         Pure query: consults the stabilised policy without touching the
         mapper's own partition or drift state. The equivalence tests
         compare :meth:`settle` output against this.
         """
-        if not views:
+        snapshot = _source(views).views()
+        if not snapshot:
             return canonical_mapping([[] for _ in range(self.num_cores)])
-        return self.policy.allocate(views, self.num_cores).canonical()
+        return self.policy.allocate(snapshot, self.num_cores).canonical()
 
-    def _cores_of(self) -> dict:
+    def _cores_of(self) -> Dict[int, int]:
         placement = {}
         for core, group in enumerate(self._groups):
             for pid in group:
                 placement[pid] = core
         return placement
 
-    def _decide(self, action: str, before: dict) -> MapDecision:
-        after = self._cores_of()
-        moved = tuple(
-            sorted(
-                pid
-                for pid, core in after.items()
-                if before.get(pid) is not None and before[pid] != core
-            )
-        )
+    def _core_index(self, pid: int) -> Optional[int]:
+        for core, group in enumerate(self._groups):
+            if pid in group:
+                return core
+        return None
+
+    def _decide(self, action: str, moved: Tuple[int, ...]) -> MapDecision:
         return MapDecision(
             action=action, mapping=self.mapping, moved=moved, drift=self.drift
         )
 
     # -- full remap ----------------------------------------------------
 
-    def _full(self, views: Sequence[TaskView], before: dict) -> MapDecision:
+    def _full(self, source: ViewSource, before: Dict[int, int]) -> MapDecision:
+        """Re-run the policy over every view; *before* is the placement
+        the step started from, against which moves are counted."""
         self.full_remaps += 1
         self.drift = 0
+        views = source.views()
         if not views:
             self._groups = [[] for _ in range(self.num_cores)]
+            self._mapping = None
         else:
             decided = self.policy.allocate(views, self.num_cores).canonical()
             self._groups = [sorted(group) for group in decided.groups]
-        return self._decide("full", before)
+            # Sorted lists of canonical groups canonicalise back to
+            # ``decided`` itself, so it is already this step's mapping.
+            self._mapping = decided
+        moved = tuple(
+            sorted(
+                pid
+                for pid, core in self._cores_of().items()
+                if before.get(pid) is not None and before[pid] != core
+            )
+        )
+        return self._decide("full", moved)
 
     # -- flap guard ----------------------------------------------------
 
@@ -245,63 +317,67 @@ class IncrementalMapper:
 
     # -- incremental repairs -------------------------------------------
 
-    def _view_of(self, views: Sequence[TaskView], tid: int) -> TaskView:
-        for view in views:
-            if view.tid == tid:
-                return view
-        raise ServiceError(f"pid {tid} missing from task views")
-
     def _placement_cost(self, view: TaskView, core: int) -> float:
         """Occupancy-weighted interference of placing *view* on *core*."""
         return view.occupancy * interference_from_symbiosis(
             view.symbiosis[core]
         )
 
-    def _rebalance(self, views: Sequence[TaskView]) -> None:
+    def _rebalance(self, source: ViewSource) -> Tuple[int, ...]:
         """Restore near-balanced group sizes after a departure.
 
         Migrates, one task at a time, from the largest group to the
         smallest while their sizes differ by more than one — the same
         balance invariant the batch policies produce. The migrant is
         the donor task suffering the most on its current core (highest
-        occupancy-weighted interference), ties broken by pid.
+        occupancy-weighted interference), ties broken by pid. Only the
+        donor's members' views are read. Returns the migrants that
+        ended on another core than they started on, sorted.
         """
+        origin: Dict[int, int] = {}
+        final: Dict[int, int] = {}
         while True:
             sizes = [len(g) for g in self._groups]
-            donor = max(range(self.num_cores), key=lambda c: (sizes[c], -c))
-            receiver = min(range(self.num_cores), key=lambda c: (sizes[c], c))
+            donor = sizes.index(max(sizes))  # largest, ties to the lowest core
+            receiver = sizes.index(min(sizes))  # smallest, likewise
             if sizes[donor] - sizes[receiver] <= 1:
-                return
+                return tuple(
+                    sorted(pid for pid in origin if final[pid] != origin[pid])
+                )
             migrant = max(
                 self._groups[donor],
                 key=lambda pid: (
-                    self._placement_cost(self._view_of(views, pid), donor),
+                    self._placement_cost(source.view(pid), donor),
                     -pid,
                 ),
             )
+            origin.setdefault(migrant, donor)
+            final[migrant] = receiver
             self._groups[donor].remove(migrant)
             self._groups[receiver].append(migrant)
             self._groups[receiver].sort()
+            self._mapping = None
 
-    def admit(self, views: Sequence[TaskView], pid: int) -> MapDecision:
-        """Place one arrival; *views* is the post-admission snapshot.
+    def admit(self, views: TaskViews, pid: int) -> MapDecision:
+        """Place one arrival; *views* is the post-admission state.
 
         The arrival goes to the least-interfering of the smallest
-        groups (preserving balance); everything else stays put. Falls
-        back to a full remap when drift would cross the threshold.
+        groups (preserving balance); everything else stays put, so an
+        incremental admit moves no one. Falls back to a full remap when
+        drift would cross the threshold.
         """
-        before = self._cores_of()
+        source = _source(views)
         self._tick()
         if self.drift + 1 >= self.drift_threshold:
-            return self._full(views, before)
-        self._place(views, pid)
+            return self._full(source, self._cores_of())
+        self._place(source.view(pid), pid)
         self.drift += 1
         self.incremental_updates += 1
-        return self._decide("incremental", before)
+        return self._decide("incremental", ())
 
-    def _place(self, views: Sequence[TaskView], pid: int) -> None:
-        """Append *pid* to the least-interfering of the smallest groups."""
-        view = self._view_of(views, pid)
+    def _place(self, view: TaskView, pid: int) -> int:
+        """Add *pid* to the least-interfering of the smallest groups;
+        returns the chosen core."""
         sizes = [len(g) for g in self._groups]
         smallest = min(sizes)
         candidates = [c for c in range(self.num_cores) if sizes[c] == smallest]
@@ -310,53 +386,52 @@ class IncrementalMapper:
         )
         self._groups[core].append(pid)
         self._groups[core].sort()
+        self._mapping = None
+        return core
 
-    def retire(self, views: Sequence[TaskView], pid: int) -> MapDecision:
-        """Remove one departure; *views* is the post-removal snapshot."""
-        before = self._cores_of()
+    def _remove(self, pid: int) -> Optional[int]:
+        """Take *pid* out of its group; returns its core (None if absent)."""
+        core = self._core_index(pid)
+        if core is not None:
+            self._groups[core].remove(pid)
+            self._mapping = None
+        return core
+
+    def retire(self, views: TaskViews, pid: int) -> MapDecision:
+        """Remove one departure; *views* is the post-removal state."""
+        source = _source(views)
         self._tick()
         self._forget(pid)
         if self.drift + 1 >= self.drift_threshold:
-            for group in self._groups:
-                if pid in group:
-                    group.remove(pid)
-            return self._full(views, before)
-        removed = False
-        for group in self._groups:
-            if pid in group:
-                group.remove(pid)
-                removed = True
-                break
-        if not removed:
+            before = self._cores_of()
+            self._remove(pid)
+            return self._full(source, before)
+        if self._remove(pid) is None:
             raise ServiceError(f"pid {pid} is not in the current mapping")
-        self._rebalance(views)
+        moved = self._rebalance(source)
         self.drift += 1
         self.incremental_updates += 1
-        return self._decide("incremental", before)
+        return self._decide("incremental", moved)
 
-    def phase_change(
-        self, views: Sequence[TaskView], pid: int
-    ) -> MapDecision:
+    def phase_change(self, views: TaskViews, pid: int) -> MapDecision:
         """A phase change invalidates the estimate: remap fully — unless
         the flap guard has marked *pid* as flapping, in which case the
         change is damped to an incremental re-placement (and drift still
         accrues, so the drift threshold rate-limits full remaps)."""
-        before = self._cores_of()
-        if pid not in before:
+        source = _source(views)
+        core = self._core_index(pid)
+        if core is None:
             raise ServiceError(f"pid {pid} is not in the current mapping")
         self._tick()
         if self.flap_armed and self._note_phase_change(pid):
             if self.drift + 1 >= self.drift_threshold:
-                return self._full(views, before)
-            for group in self._groups:
-                if pid in group:
-                    group.remove(pid)
-                    break
-            self._place(views, pid)
+                return self._full(source, self._cores_of())
+            self._remove(pid)
+            placed = self._place(source.view(pid), pid)
             self.drift += 1
             self.damped_updates += 1
-            return self._decide("damped", before)
-        return self._full(views, before)
+            return self._decide("damped", (pid,) if placed != core else ())
+        return self._full(source, self._cores_of())
 
     # -- snapshot support ----------------------------------------------
 
@@ -397,6 +472,7 @@ class IncrementalMapper:
                 f"{self.num_cores} cores"
             )
         self._groups = [sorted(int(pid) for pid in group) for group in groups]
+        self._mapping = None
         self.drift = int(state["drift"])
         self.full_remaps = int(state["full_remaps"])
         self.incremental_updates = int(state["incremental_updates"])
@@ -414,7 +490,7 @@ class IncrementalMapper:
             self._flap_history = {}
             self._flapping = set()
 
-    def settle(self, views: Sequence[TaskView]) -> MapDecision:
+    def settle(self, views: TaskViews) -> MapDecision:
         """Clear accumulated drift with an unconditional full remap.
 
         Replays call this once at trace end; because the stabilised
@@ -422,4 +498,4 @@ class IncrementalMapper:
         is byte-identical to :meth:`oracle` on the same views — the
         trace-end equivalence contract the bench asserts.
         """
-        return self._full(views, self._cores_of())
+        return self._full(_source(views), self._cores_of())

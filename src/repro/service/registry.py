@@ -125,7 +125,7 @@ class ProcessRegistry:
         counts = [0] * self.num_cores
         for handle in self._handles.values():
             counts[handle.core] += 1
-        return min(range(self.num_cores), key=lambda c: (counts[c], c))
+        return counts.index(min(counts))
 
     def admit(
         self,
@@ -224,7 +224,7 @@ class ProcessRegistry:
         return moved
 
     def views(self) -> List[TaskView]:
-        """Signature-context snapshots for every live process.
+        """Signature-context snapshots for every live process, by pid.
 
         Occupancy is the streaming footprint estimate; the symbiosis
         entry against core ``c`` uses the paper's XOR-population form
@@ -232,35 +232,54 @@ class ProcessRegistry:
         overlap model (co-resident footprints overlap in proportion to
         how much of the cache the other core's residents fill).
         """
-        handles = sorted(self._handles.values(), key=lambda h: h.pid)
-        capacity = float(self.capacity_lines)
+        handles = self._by_pid()
+        core_fill = self._core_fill(handles)
+        return [self._view(handle, core_fill) for handle in handles]
+
+    def view(self, pid: int) -> TaskView:
+        """The :meth:`views` entry of *pid*, built without the others.
+
+        Float-identical to that entry: both go through one builder over
+        the same per-core fill (raises ``ServiceError`` if unknown).
+        """
+        handle = self._get(pid)
+        return self._view(handle, self._core_fill(self._by_pid()))
+
+    def _by_pid(self) -> List[ProcessHandle]:
+        return [self._handles[pid] for pid in sorted(self._handles)]
+
+    def _core_fill(self, handles: List[ProcessHandle]) -> List[float]:
+        """Summed footprint per core, added in the order of *handles*
+        (pid order): float addition does not commute, so a running sum
+        kept across admits and retires would round differently."""
         core_fill = [0.0] * self.num_cores
         for handle in handles:
             core_fill[handle.core] += handle.footprint
-        views: List[TaskView] = []
-        for handle in handles:
-            occ = handle.footprint
-            symbiosis = np.zeros(self.num_cores, dtype=np.float64)
-            for core in range(self.num_cores):
-                others = core_fill[core]
-                if core == handle.core:
-                    others -= occ
-                others = min(max(others, 0.0), capacity)
-                overlap = occ * others / capacity
-                symbiosis[core] = occ + others - 2.0 * overlap
-            views.append(
-                TaskView(
-                    tid=handle.pid,
-                    name=handle.profile.name,
-                    process_id=handle.pid,
-                    last_core=handle.core,
-                    occupancy=occ,
-                    symbiosis=symbiosis,
-                    valid=True,
-                    samples_seen=handle.samples_seen,
-                )
-            )
-        return views
+        return core_fill
+
+    def _view(
+        self, handle: ProcessHandle, core_fill: List[float]
+    ) -> TaskView:
+        """One process's signature context against every core."""
+        capacity = float(self.capacity_lines)
+        occ = handle.footprint
+        symbiosis = []
+        for core, others in enumerate(core_fill):
+            if core == handle.core:
+                others -= occ
+            others = min(max(others, 0.0), capacity)
+            overlap = occ * others / capacity
+            symbiosis.append(occ + others - 2.0 * overlap)
+        return TaskView(
+            tid=handle.pid,
+            name=handle.profile.name,
+            process_id=handle.pid,
+            last_core=handle.core,
+            occupancy=occ,
+            symbiosis=np.array(symbiosis, dtype=np.float64),
+            valid=True,
+            samples_seen=handle.samples_seen,
+        )
 
     # -- snapshot support ----------------------------------------------
 
@@ -288,17 +307,28 @@ class ProcessRegistry:
 
         Profiles are re-resolved by name, so only named (catalogue)
         profiles survive a snapshot round-trip — which is all the wire
-        protocol can admit in the first place.
+        protocol can admit in the first place. A malformed table raises
+        ``ServiceError`` and leaves the registry as it was.
         """
         handles: Dict[int, ProcessHandle] = {}
         processes = state.get("processes", {})
-        assert isinstance(processes, dict)
+        if not isinstance(processes, dict):
+            raise ServiceError(
+                "registry snapshot 'processes' must be an object, got "
+                f"{type(processes).__name__}"
+            )
         for pid_text, entry in processes.items():
-            pid = int(pid_text)
-            profile = self._resolve_profile(entry["profile"], None)
-            handle = ProcessHandle(pid, profile, int(entry["core"]))
-            handle.footprint = float(entry["footprint"])
-            handle.samples_seen = int(entry["samples_seen"])
+            try:
+                pid = int(pid_text)
+                profile = self._resolve_profile(entry["profile"], None)
+                handle = ProcessHandle(pid, profile, int(entry["core"]))
+                handle.footprint = float(entry["footprint"])
+                handle.samples_seen = int(entry["samples_seen"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ServiceError(
+                    f"registry snapshot entry {pid_text!r} is malformed: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from None
             handles[pid] = handle
         self._handles = handles
 

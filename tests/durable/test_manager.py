@@ -81,3 +81,61 @@ def test_constructor_validation(tmp_path):
     blocker.write_text("file", encoding="ascii")
     with pytest.raises(ConfigurationError):
         DurabilityManager(blocker)
+
+
+def tear_last_line(path):
+    """Chop the final record mid-line, as a crash or bit rot would."""
+    data = path.read_bytes()
+    path.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 1 + 10])
+
+
+def test_numbering_continues_past_the_snapshot_when_the_wal_is_lost(tmp_path):
+    manager = DurabilityManager(tmp_path, snapshot_interval=2)
+    for event_number in range(1, 5):  # snapshots at 2 and 4
+        manager.record_event({"n": event_number})
+        manager.note_applied(lambda: {"upto": event_number})
+    manager.close()
+    # Compaction left one anchor record (LSN 4); tearing it loses every
+    # record the WAL had.
+    assert [lsn for lsn, _ in manager.wal.replay(0)] == [4]
+    tear_last_line(manager.wal.path)
+    fresh = DurabilityManager(tmp_path, snapshot_interval=2)
+    assert fresh.record_event({"n": 5}) == 5
+    state, snapshot_lsn, tail = DurabilityManager(tmp_path).load()
+    assert state == {"upto": 4} and snapshot_lsn == 4
+    assert [(lsn, event["n"]) for lsn, event in tail] == [(5, 5)]
+
+
+def test_records_the_snapshot_covers_are_dropped_not_left_behind_a_gap(
+    tmp_path,
+):
+    # A snapshot ahead of the WAL's last intact record: the records it
+    # covers must go, or strict replay would stop at the LSN gap before
+    # the next event.
+    manager = DurabilityManager(tmp_path, snapshot_interval=100)
+    for event_number in range(1, 4):
+        manager.record_event({"n": event_number})
+    manager.snapshots.save({"upto": 5}, 5)
+    manager.close()
+    fresh = DurabilityManager(tmp_path)
+    assert fresh.record_event({"n": 6}) == 6
+    state, snapshot_lsn, tail = DurabilityManager(tmp_path).load()
+    assert snapshot_lsn == 5
+    assert [(lsn, event["n"]) for lsn, event in tail] == [(6, 6)]
+
+
+def test_the_snapshot_is_read_once_per_manager(tmp_path, monkeypatch):
+    manager = DurabilityManager(tmp_path, snapshot_interval=2)
+    for event_number in range(1, 4):
+        manager.record_event({"n": event_number})
+        manager.note_applied(lambda: {"upto": event_number})
+    manager.close()
+    fresh = DurabilityManager(tmp_path, snapshot_interval=2)
+    reads = []
+    load = fresh.snapshots.load
+    monkeypatch.setattr(
+        fresh.snapshots, "load", lambda: reads.append(1) or load()
+    )
+    for event_number in range(4, 9):
+        fresh.record_event({"n": event_number})
+    assert reads == [1]

@@ -159,6 +159,35 @@ def test_torn_wal_tail_loses_only_the_unacknowledged_event(tmp_path):
     assert recovered.events_processed == len(events)
 
 
+
+def test_event_acknowledged_after_losing_the_whole_wal_is_recovered(tmp_path):
+    events = trace_events(count=24, seed=6)
+    config = make_config()
+    _, fingerprints = run_oracle(events, config)
+    state_dir = tmp_path / "dir"
+    durability = DurabilityManager(state_dir, snapshot_interval=8)
+    service = SchedulerService(WeightSortPolicy(), config, durability=durability)
+    for event in events[:16]:  # checkpoints at 8 and 16
+        service._handle(event)
+    durability.close()
+    # Compaction left only the LSN-16 anchor; tear it, losing every
+    # record the WAL held (the snapshot still covers all 16 events).
+    wal_path = state_dir / "events.wal"
+    wal_path.write_bytes(wal_path.read_bytes()[:10])
+    recovered = SchedulerService.recover(
+        WeightSortPolicy(), config, state_dir=state_dir, snapshot_interval=8
+    )
+    assert recovered.events_processed == 16
+    result = recovered._handle(events[16])  # acknowledged: logged first
+    assert result["ok"]
+    recovered.durability.close()
+    again = SchedulerService.recover(
+        WeightSortPolicy(), config, state_dir=state_dir, snapshot_interval=8
+    )
+    assert again.recovered_events == 1
+    assert again.events_processed == 17
+    assert state_fingerprint(capture_state(again)) == fingerprints[16]
+
 def test_restore_refuses_a_mismatched_configuration(tmp_path):
     events = trace_events(count=SNAPSHOT_INTERVAL + 5, seed=2)
     state_dir = tmp_path / "dir"

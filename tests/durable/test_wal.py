@@ -139,3 +139,18 @@ def test_constructor_validation(tmp_path):
     (tmp_path / "adir").mkdir()
     with pytest.raises(ConfigurationError):
         EventWAL(tmp_path / "adir")
+
+
+def test_a_non_ascii_byte_costs_only_its_own_line(tmp_path):
+    wal = wal_at(tmp_path)
+    for p in range(5):
+        wal.append({"pid": p})
+    wal.close()
+    data = bytearray(wal.path.read_bytes())
+    data[len(data) - 4] = 0xE9  # inside the last record
+    wal.path.write_bytes(bytes(data))
+    reopened = wal_at(tmp_path)
+    assert [lsn for lsn, _ in reopened.replay(0)] == [1, 2, 3, 4]
+    assert reopened.corrupt_lines == 1
+    assert reopened.append({"pid": 99}) == 5
+    assert [lsn for lsn, _ in wal_at(tmp_path).replay(0)] == [1, 2, 3, 4, 5]

@@ -80,6 +80,20 @@ def test_garbled_and_wrong_version_lines_are_skipped(tmp_path):
     assert journal.corrupt_lines == 3
 
 
+
+def test_a_non_ascii_byte_loses_only_its_line(tmp_path):
+    path = tmp_path / "sweep.journal"
+    journal = RunJournal(path)
+    for key in ("k1", "k2", "k3"):
+        journal.record(key, OUTCOME)
+    journal.close()
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"k2"', b'"k\xe9"')  # one flipped byte
+    path.write_bytes(b"\n".join(lines))
+    loaded = RunJournal(path)
+    assert loaded.load() == {"k1": OUTCOME, "k3": OUTCOME}
+    assert loaded.corrupt_lines == 1
+
 def test_duplicate_keys_last_record_wins(tmp_path):
     journal = RunJournal(tmp_path / "sweep.journal")
     journal.record("k", OUTCOME)

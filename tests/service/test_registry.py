@@ -184,3 +184,47 @@ def test_live_pids_sorted():
     for pid in (5, 1, 3):
         reg.admit(pid, "mcf")
     assert reg.live_pids() == [1, 3, 5]
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"processes": [["1", "mcf"]]},
+        {"processes": "1"},
+        {"processes": {"1": {"profile": "mcf", "core": 0}}},
+        {"processes": {"x": {"profile": "mcf", "core": 0, "footprint": 1.0,
+                             "samples_seen": 1}}},
+        {"processes": {"1": None}},
+    ],
+    ids=["list", "string", "missing-field", "bad-pid", "null-entry"],
+)
+def test_restore_rejects_a_malformed_table_and_keeps_the_registry(state):
+    reg = ProcessRegistry(2)
+    reg.admit(1, "mcf")
+    before = reg.export_state()
+    with pytest.raises(ServiceError, match="registry snapshot"):
+        reg.restore(state)
+    assert reg.export_state() == before
+
+
+def test_restore_round_trips_export_state():
+    reg = ProcessRegistry(2)
+    for pid, name in [(2, "mcf"), (5, "povray")]:
+        reg.admit(pid, name)
+        reg.observe(pid)
+    copy = ProcessRegistry(2)
+    copy.restore(reg.export_state())
+    assert copy.export_state() == reg.export_state()
+
+
+def test_single_view_equals_its_views_entry():
+    reg = ProcessRegistry(3, capacity_lines=20_000)
+    for pid, name in [(4, "mcf"), (1, "povray"), (9, "astar"), (2, "milc")]:
+        reg.admit(pid, name)
+    reg.apply_mapping(canonical_mapping([[1, 9], [4], [2]]))
+    for view in reg.views():
+        single = reg.view(view.tid)
+        assert repr(single) == repr(view)
+        assert single.symbiosis.tobytes() == view.symbiosis.tobytes()
+    with pytest.raises(ServiceError):
+        reg.view(3)

@@ -75,6 +75,20 @@ def test_garbled_and_wrong_version_lines_are_counted(tmp_path):
     assert quarantine.corrupt_lines == 3
 
 
+
+def test_a_non_ascii_byte_loses_only_its_line(tmp_path):
+    path = tmp_path / "poison.jsonl"
+    quarantine = PoisonQuarantine(path)
+    for key in ("k1", "k2", "k3"):
+        quarantine.add(key, reason="r")
+    quarantine.close()
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"k2"', b'"k\xe9"')  # one flipped byte
+    path.write_bytes(b"\n".join(lines))
+    reloaded = PoisonQuarantine(path)
+    assert reloaded.keys() == ["k1", "k3"]
+    assert reloaded.corrupt_lines == 1
+
 def test_reload_picks_up_another_writer(tmp_path):
     path = tmp_path / "poison.jsonl"
     mine = PoisonQuarantine(path)
