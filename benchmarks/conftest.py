@@ -26,18 +26,21 @@ def full_scale() -> bool:
 
 @pytest.fixture(scope="session")
 def jobs() -> int:
-    """Worker count from REPRO_JOBS (default 1: the serial code path).
+    """Worker count from REPRO_JOBS (default 1: in process).
 
     Set ``REPRO_JOBS=4`` to fan the sweep harnesses out over a
-    :class:`repro.jobs.Orchestrator` process pool; results stay
-    bit-identical to the serial orchestrated run (see
-    ``docs/orchestration.md``).
+    :class:`repro.jobs.Orchestrator` process pool; the results are
+    bit-identical to the in-process run (see ``docs/orchestration.md``).
     """
     return int(os.environ.get("REPRO_JOBS", "1"))
 
 
 def orchestrator_for(jobs: int):
-    """An :class:`~repro.jobs.Orchestrator` for *jobs* > 1, else ``None``."""
+    """An :class:`~repro.jobs.Orchestrator` for *jobs* > 1, else ``None``.
+
+    ``None`` leaves each driver its default: an in-process orchestrator
+    with no result cache.
+    """
     if jobs <= 1:
         return None
     from repro.jobs import Orchestrator

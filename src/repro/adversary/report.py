@@ -446,7 +446,7 @@ def score_adversary_mix(
         suspect_invocations=suspects,
         gate_tripped=gate_tripped,
         chosen_groups=tuple(
-            tuple(index_of[t] for t in g)
+            tuple(index_of[t] for t in sorted(g))
             for g in chosen.canonical().groups
         ),
     )

@@ -23,7 +23,6 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig, CacheGeometry, tiny_cache
 from repro.cache.tlb import TLB, PageFaultTracker
 from repro.core.signature import SignatureConfig, SignatureUnit
-from repro.jobs.spec import WorkloadSpec
 from repro.perf.experiment import (
     MixResult,
     SweepResult,
@@ -302,7 +301,6 @@ def table1_mapping_runtimes(
     instructions: int = DEFAULT_INSTRUCTIONS,
     seed: int = 0,
     batch_accesses: int = 256,
-    orchestrator=None,
     backend: str = "exact",
     estimator=None,
 ) -> Tuple[List[str], Dict]:
@@ -314,15 +312,8 @@ def table1_mapping_runtimes(
     machine = machine or core2duo()
     names = ["povray", "gobmk", "libquantum", "hmmer"]
     tasks = build_tasks(names, instructions=instructions, seed=seed)
-    workload = None
-    if orchestrator is not None:
-        workload = WorkloadSpec(
-            kind="spec", names=tuple(names), instructions=instructions,
-            seed=seed,
-        )
     times = run_all_mappings(
         machine, tasks, seed=seed, batch_accesses=batch_accesses,
-        orchestrator=orchestrator, workload=workload,
         backend=backend, estimator=estimator,
     )
     return names, times
@@ -354,8 +345,9 @@ def figure10_native_sweep(
 ) -> SweepResult:
     """Figure 10: per-benchmark max/avg improvement, native execution.
 
-    Pass an *orchestrator* to fan the whole sweep out in parallel with
-    result caching (see :mod:`repro.jobs`).
+    The sweep runs in process by default; pass an *orchestrator* to fan
+    it out in parallel with result caching (see :mod:`repro.jobs`). The
+    result is the same either way.
     """
     if mixes is None:
         sampled = stratified_mixes(
@@ -382,9 +374,9 @@ def figure12_parsec_sweep(
 ) -> SweepResult:
     """Figure 12: multithreaded PARSEC mixes under the two-phase policy.
 
-    With an *orchestrator*, each mix's phase batch runs through the job
-    subsystem (mix-level results remain sequential because each mix seeds
-    its own policy).
+    Mix ``i`` is :func:`~repro.perf.experiment.parsec_two_phase` at seed
+    ``seed + i``, one batch per mix through *orchestrator* (default:
+    in-process).
     """
     sweep = SweepResult()
     for i, mix in enumerate(app_mixes):

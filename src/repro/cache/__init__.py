@@ -1,4 +1,4 @@
-"""Shared-cache multi-core substrate: set-associative caches, hierarchy,
+"""Shared-cache multi-core substrate: set-associative caches,
 TLB/page-fault counters and the machine presets from the paper."""
 
 from repro.cache.cache import AccessResult, SetAssociativeCache
@@ -9,7 +9,6 @@ from repro.cache.config import (
     p4xeon_l2,
     tiny_cache,
 )
-from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
 from repro.cache.prefetch import PrefetchingCache, PrefetchStats
 from repro.cache.replacement import (
     LRUPolicy,
@@ -29,8 +28,6 @@ __all__ = [
     "core2duo_l2",
     "p4xeon_l2",
     "tiny_cache",
-    "CacheHierarchy",
-    "HierarchyResult",
     "PrefetchingCache",
     "PrefetchStats",
     "LRUPolicy",

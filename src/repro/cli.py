@@ -411,17 +411,11 @@ def _wants_orchestration(args: argparse.Namespace) -> bool:
 def _make_orchestrator(args: argparse.Namespace) -> Optional[Orchestrator]:
     """Build an orchestrator from the orchestration flags (or ``None``).
 
-    The default flag set (``--jobs 1``, no cache, fail-fast, no journal,
-    no telemetry) keeps the exact serial code path; any orchestration,
-    robustness or telemetry flag opts the command into the
-    :mod:`repro.jobs` subsystem (telemetry because the orchestrator is
-    where the root ``orchestrator.run_specs`` span comes from).
+    ``None`` for the default flag set (``--jobs 1``, no cache, fail-fast,
+    no journal, no supervision): the driver then runs its specs on its
+    own in-process orchestrator, which is the same thing.
     """
-    if (
-        not _wants_orchestration(args)
-        and args.trace_out is None
-        and args.metrics_out is None
-    ):
+    if not _wants_orchestration(args):
         return None
     supervision = None
     if args.hang_timeout is not None or args.quarantine is not None:
@@ -565,9 +559,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
         print(f"mix failed: {exc}")
         return 1
     print(f"mix: {', '.join(args.names)}   policy: {args.policy}")
-    if orchestrator is not None and _wants_orchestration(args):
-        # A telemetry-only orchestrator must not perturb the command's
-        # own output (the overhead gate diffs it against a plain run).
+    if orchestrator is not None:
         print(orchestrator.counters.summary())
     if result.degradations:
         print(

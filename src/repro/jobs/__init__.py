@@ -23,10 +23,10 @@ and provides the machinery to execute batches of them:
   dedupe, journal replay, cache check, fan-out, event reporting.
 
 The experiment drivers (:mod:`repro.perf.experiment`,
-:mod:`repro.virt.dom0`) accept an optional ``orchestrator=`` argument;
-passing one routes their simulations through this subsystem (parallel
-and cached), while the default ``None`` preserves the serial in-process
-code path exactly.
+:mod:`repro.virt.dom0`) run every simulation through this subsystem:
+through the ``orchestrator=`` they are given (parallel, cached), or by
+default through an in-process one with no cache. Either way a driver's
+result depends only on its arguments.
 """
 
 from __future__ import annotations

@@ -6,17 +6,14 @@ configuration, seeds) that fully determines one simulation. Because it is
 data, it can be hashed (:func:`repro.jobs.keys.spec_key`), cached,
 pickled to a worker process, and re-executed bit-for-bit anywhere.
 
-**Determinism and task-id normalisation.** Simulated task ids are drawn
-from a process-global counter, and several code paths iterate frozensets
-of tids whose ordering depends on the *absolute* id values — so the same
-logical mix can interleave (slightly) differently depending on how many
-tasks were ever built in the host process. :func:`execute_spec` therefore
+**Task-id normalisation.** Simulated task ids are drawn from a
+process-global counter, so a spec cannot name them. :func:`execute_spec`
 renumbers tasks to the stable namespace ``0..n-1`` (in workload order)
 before running: every mapping in a spec is expressed in these *task
 indices*, group position meaning core number, and every outcome reports
-decisions/majorities in the same namespace. This is what makes a spec's
-result identical no matter which process — parent or any worker —
-executes it.
+decisions/majorities in the same namespace. A spec's outcome is therefore
+the same data no matter which process — parent or any worker — executes
+it.
 
 Workload kinds:
 
@@ -91,9 +88,9 @@ def build_policy(name: str, kwargs: Optional[TMapping[str, Any]] = None):
 def policy_to_spec(policy) -> Tuple[str, Dict[str, Any]]:
     """Extract the (registry name, constructor kwargs) of a policy instance.
 
-    Only registry policies can be described declaratively; anything else
-    raises :class:`~repro.errors.ConfigurationError` — run such policies
-    through the serial (orchestrator-less) code path instead.
+    Only registry policies can be described declaratively, and the
+    experiment drivers run nothing else; any other policy raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     if isinstance(policy, TwoPhasePolicy):
         return "two_phase", {"method": policy.method, "seed": policy.seed}
@@ -109,7 +106,7 @@ def policy_to_spec(policy) -> Tuple[str, Dict[str, Any]]:
         return "weight_sort", {}
     raise ConfigurationError(
         f"policy {type(policy).__name__} is not spec-describable; "
-        "use the serial code path or register it in POLICY_REGISTRY"
+        "register it in POLICY_REGISTRY"
     )
 
 

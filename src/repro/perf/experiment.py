@@ -10,6 +10,15 @@
 * :func:`mix_sweep` / :func:`stratified_mixes` — the Figure 10/11 sweeps
   (per-benchmark max/avg improvement across 4-benchmark mixes).
 * :func:`parsec_two_phase` — the Figure 12 multithreaded variant.
+
+Every driver but :func:`run_all_mappings` describes its simulations as
+run specs (:mod:`repro.jobs.spec`) and executes them through an
+:class:`~repro.jobs.orchestrator.Orchestrator`: the one passed as
+``orchestrator=``, else an in-process one with no result cache. Mappings
+in their results are in task-index space (task ``i`` is the ``i``-th
+name), and a result depends only on the driver's arguments, whatever the
+worker count. :func:`run_all_mappings` takes live tasks, for inputs no
+spec can describe.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from typing import Any, Dict, List, Mapping as TMapping, Optional, Sequence, Tup
 
 import numpy as np
 
-from repro.alloc.monitor import UserLevelMonitor
 from repro.alloc.multithreaded import TwoPhasePolicy
 from repro.errors import ConfigurationError, SimulationError
 from repro.estimate.dispatch import estimate_mix
@@ -31,6 +39,7 @@ from repro.jobs.failures import (
     MixDegradation,
     MixFailure,
 )
+from repro.jobs.orchestrator import Orchestrator
 from repro.jobs.spec import (
     MonitorSpec,
     WorkloadSpec,
@@ -40,11 +49,8 @@ from repro.jobs.spec import (
 from repro.perf.machine import MachineConfig
 from repro.perf.runner import (
     DEFAULT_INSTRUCTIONS,
-    build_parsec_processes,
-    build_tasks,
     default_signature_config,
     run_mix,
-    run_solo,
 )
 from repro.sched.affinity import Mapping, balanced_mappings, canonical_mapping
 from repro.sched.os_model import SchedulerConfig
@@ -102,36 +108,15 @@ def _pairwise(
     names: Sequence[str],
     instructions: int,
     seed: int,
-    mapping_builder,
     batch_accesses: int,
-    pair_groups: Optional[Sequence[Sequence[int]]] = None,
-    orchestrator=None,
+    pair_groups: Sequence[Sequence[int]],
+    orchestrator,
 ) -> PairwiseResult:
-    if orchestrator is None:
-        solo = {
-            name: run_solo(
-                machine, name, instructions=instructions, seed=seed,
-                batch_accesses=batch_accesses,
-            ).user_time(name)
-            for name in names
-        }
-        pair_times: Dict[Tuple[str, str], Dict[str, float]] = {}
-        for a, b in itertools.combinations(sorted(names), 2):
-            tasks = build_tasks([a, b], instructions=instructions, seed=seed)
-            mapping = mapping_builder(tasks)
-            result = run_mix(
-                machine, tasks, mapping=mapping, seed=seed,
-                batch_accesses=batch_accesses,
-            )
-            pair_times[(a, b)] = {
-                a: result.user_time(a), b: result.user_time(b)
-            }
-        return PairwiseResult(
-            names=tuple(sorted(names)), solo_times=solo, pair_times=pair_times
-        )
+    """One batch: every name solo, then every pair placed by *pair_groups*.
 
-    # Orchestrated: one batch of solo runs + one spec per pair, with the
-    # pair's placement expressed over task indices 0 (=a) and 1 (=b).
+    *pair_groups* is over task indices 0 and 1: the pair's names in
+    sorted order.
+    """
     ordered = sorted(names)
     pairs = list(itertools.combinations(ordered, 2))
     specs = [
@@ -152,7 +137,7 @@ def _pairwise(
         )
         for a, b in pairs
     ]
-    outcomes = orchestrator.run_specs(specs)
+    outcomes = (orchestrator or Orchestrator(jobs=1)).run_specs(specs)
     solo = {
         name: outcomes[i].user_time(name) for i, name in enumerate(ordered)
     }
@@ -177,12 +162,7 @@ def pairwise_shared(
     if not machine.shared_l2 or machine.num_cores < 2:
         raise ConfigurationError("pairwise_shared needs a shared-L2 multicore")
     return _pairwise(
-        machine,
-        names,
-        instructions,
-        seed,
-        lambda tasks: canonical_mapping([[tasks[0].tid], [tasks[1].tid]]),
-        batch_accesses,
+        machine, names, instructions, seed, batch_accesses,
         pair_groups=[[0], [1]],
         orchestrator=orchestrator,
     )
@@ -202,15 +182,7 @@ def pairwise_private_timeshare(
     paper measures at under ~10%.
     """
     return _pairwise(
-        machine,
-        names,
-        instructions,
-        seed,
-        lambda tasks: canonical_mapping(
-            [[tasks[0].tid, tasks[1].tid]]
-            + [[] for _ in range(machine.num_cores - 1)]
-        ),
-        batch_accesses,
+        machine, names, instructions, seed, batch_accesses,
         pair_groups=[[0, 1]] + [[] for _ in range(machine.num_cores - 1)],
         orchestrator=orchestrator,
     )
@@ -246,46 +218,6 @@ def _default_index_mapping(num_tasks: int, num_cores: int) -> Mapping:
     return canonical_mapping(groups)
 
 
-def _measure_mix(
-    machine: MachineConfig,
-    tasks: Sequence[SimTask],
-    *,
-    mapping: Optional[Mapping],
-    seed: int,
-    batch_accesses: int,
-    scheduler_config: Optional[SchedulerConfig],
-    backend: str,
-    estimator: Optional[TMapping[str, Any]],
-):
-    """One serial measurement run through the selected backend.
-
-    The exact backend goes through :func:`~repro.perf.runner.run_mix`
-    unchanged; estimate backends dispatch through
-    :func:`~repro.estimate.dispatch.estimate_mix` and return the same
-    result type.
-    """
-    if backend == "exact":
-        return run_mix(
-            machine,
-            tasks,
-            mapping=mapping,
-            seed=seed,
-            batch_accesses=batch_accesses,
-            scheduler_config=scheduler_config,
-        )
-    result, _ = estimate_mix(
-        machine,
-        tasks,
-        backend=backend,
-        mapping=mapping,
-        scheduler_config=scheduler_config,
-        batch_accesses=batch_accesses,
-        seed=seed,
-        options=EstimatorOptions.from_dict(estimator),
-    )
-    return result
-
-
 def run_all_mappings(
     machine: MachineConfig,
     tasks: Sequence[SimTask],
@@ -293,23 +225,19 @@ def run_all_mappings(
     batch_accesses: int = 256,
     scheduler_config: Optional[SchedulerConfig] = None,
     max_mappings: Optional[int] = None,
-    orchestrator=None,
-    workload: Optional[WorkloadSpec] = None,
     backend: str = "exact",
     estimator: Optional[TMapping[str, Any]] = None,
 ) -> Dict[Mapping, Dict[str, float]]:
     """User time of every task under every balanced mapping (Table 1).
 
+    This driver runs live tasks in process, for inputs no run spec can
+    describe (the adversary report's generators, figure 14's shared
+    phase-2 table); the returned dict is keyed by tid-space mappings.
+
     For larger machines the balanced-mapping count explodes (105 for 8
     tasks on 4 cores); *max_mappings* caps the measured set to a
     deterministic random sample — best/worst are then over the sampled
     reference set, which EXPERIMENTS.md notes explicitly.
-
-    With an *orchestrator*, the per-mapping simulations run as one
-    (possibly parallel, cached) batch; *workload* must then describe how
-    to rebuild *tasks* declaratively, and the mappings' task ids are
-    translated to the workload's index namespace for execution. The
-    returned dict is keyed by the original tid-space mappings either way.
 
     *backend* selects the simulation backend for every measurement
     (``"exact"``, ``"analytical"`` or ``"sampled"``); *estimator*
@@ -322,41 +250,28 @@ def run_all_mappings(
         max_mappings,
     )
     times: Dict[Mapping, Dict[str, float]] = {}
-    if orchestrator is None:
-        for mapping in mappings:
-            result = _measure_mix(
+    for mapping in mappings:
+        if backend == "exact":
+            result = run_mix(
                 machine,
                 tasks,
                 mapping=mapping,
                 seed=seed,
                 batch_accesses=batch_accesses,
                 scheduler_config=scheduler_config,
-                backend=backend,
-                estimator=estimator,
             )
-            times[mapping] = {t.name: result.user_time(t.name) for t in tasks}
-        return times
-    if workload is None:
-        raise ConfigurationError(
-            "run_all_mappings with an orchestrator needs a workload spec"
-        )
-    tid_to_ix = {t.tid: i for i, t in enumerate(tasks)}
-    specs = [
-        make_run_spec(
-            machine,
-            workload,
-            mapping=[[tid_to_ix[tid] for tid in g] for g in m.groups],
-            scheduler=scheduler_config,
-            seed=seed,
-            batch_accesses=batch_accesses,
-            backend=backend,
-            estimator=estimator,
-        )
-        for m in mappings
-    ]
-    outcomes = orchestrator.run_specs(specs)
-    for mapping, outcome in zip(mappings, outcomes):
-        times[mapping] = {t.name: outcome.user_time(t.name) for t in tasks}
+        else:
+            result, _ = estimate_mix(
+                machine,
+                tasks,
+                backend=backend,
+                mapping=mapping,
+                scheduler_config=scheduler_config,
+                batch_accesses=batch_accesses,
+                seed=seed,
+                options=EstimatorOptions.from_dict(estimator),
+            )
+        times[mapping] = {t.name: result.user_time(t.name) for t in tasks}
     return times
 
 
@@ -364,7 +279,10 @@ def run_all_mappings(
 class MixResult:
     """Outcome of the two-phase methodology for one mix.
 
-    ``degradations`` carries phase 1's structured degradation events —
+    Mappings are in the driver's index space: task ``i`` is the ``i``-th
+    name (for multithreaded apps, threads are numbered in application
+    order). ``degradations`` carries phase 1's structured degradation
+    events —
     non-empty exactly when the signature failed its health checks (or
     phase 1 itself crashed in keep-going mode) and the mix fell back to
     the default schedule.
@@ -433,12 +351,16 @@ class _TwoPhasePlan:
     Only the rare "chosen mapping outside the reference set" measurement
     needs a second round, surfaced by :meth:`resolve`.
 
-    Note one deliberate divergence from the serial path: the policy is
-    rebuilt from its declarative form for each plan, so a stateful policy
-    (the interference policies advance an invocation counter that feeds
-    their tie-break seeds) starts fresh per mix instead of carrying state
-    across a sweep. Results are self-consistent across worker counts
-    either way, which is the property the cache keys rely on.
+    The policy is rebuilt from its declarative form for each plan, so a
+    stateful policy (the interference policies advance an invocation
+    counter that feeds their tie-break seeds) starts fresh per mix, and a
+    mix's result depends only on its own arguments.
+
+    *kind* is the workload kind; ``"vm"`` workloads take the *overhead*
+    dict in both phases. The reference set is every balanced mapping of
+    the named tasks (capped by *max_mappings*) and the default is
+    round-robin, unless *mappings* and *default* say otherwise. Times are
+    recorded per process index: name ``i`` is process ``i``.
     """
 
     def __init__(
@@ -447,6 +369,7 @@ class _TwoPhasePlan:
         names: Sequence[str],
         policy,
         *,
+        kind: str = "spec",
         instructions: int = DEFAULT_INSTRUCTIONS,
         seed: int = 0,
         batch_accesses: int = 256,
@@ -458,20 +381,24 @@ class _TwoPhasePlan:
         apply_during_phase1: bool = True,
         max_mappings: Optional[int] = None,
         faults: Optional[TMapping[str, Any]] = None,
+        overhead: Optional[TMapping[str, Any]] = None,
         backend: str = "exact",
         estimator: Optional[TMapping[str, Any]] = None,
+        mappings: Optional[List[Mapping]] = None,
+        default: Optional[Mapping] = None,
     ):
         self.names = tuple(names)
         self.machine = machine
         self.seed = seed
         self.batch_accesses = batch_accesses
         self.scheduler_config = scheduler_config
+        self.overhead = overhead
         # Phase 1 needs the exact engine (signature hardware + monitor);
         # the backend applies to phase-2 measurements only.
         self.backend = backend
         self.estimator = estimator
         self.workload = WorkloadSpec(
-            kind="spec", names=self.names, instructions=instructions, seed=seed
+            kind=kind, names=self.names, instructions=instructions, seed=seed
         )
         policy_name, policy_kwargs = policy_to_spec(policy)
         monitor = MonitorSpec.make(
@@ -488,12 +415,13 @@ class _TwoPhasePlan:
                 machine, **(signature_overrides or {})
             ),
             scheduler=phase1_scheduler or _phase1_scheduler_default(machine),
+            overhead=overhead,
             seed=seed,
             batch_accesses=batch_accesses,
             min_wall_cycles=phase1_min_wall,
             faults=faults,
         )
-        self.mappings = _sample_mappings(
+        self.mappings = mappings or _sample_mappings(
             balanced_mappings(list(range(len(self.names))), machine.num_cores),
             seed,
             max_mappings,
@@ -501,7 +429,7 @@ class _TwoPhasePlan:
         self.specs = [phase1_spec] + [
             self._measure_spec(m) for m in self.mappings
         ]
-        self.default = _default_index_mapping(
+        self.default = default or _default_index_mapping(
             len(self.names), machine.num_cores
         )
         self.chosen: Optional[Mapping] = None
@@ -520,11 +448,17 @@ class _TwoPhasePlan:
             self.workload,
             mapping=[sorted(g) for g in mapping.groups],
             scheduler=self.scheduler_config,
+            overhead=self.overhead,
             seed=self.seed,
             batch_accesses=self.batch_accesses,
             backend=self.backend,
             estimator=self.estimator,
         )
+
+    def _times(self, outcome) -> Dict[str, float]:
+        return {
+            name: outcome.process_time(i) for i, name in enumerate(self.names)
+        }
 
     def resolve(self, outcomes):
         """Consume this plan's slice of batch outcomes.
@@ -560,9 +494,7 @@ class _TwoPhasePlan:
             if isinstance(out, JobFailure):
                 measurement_errors.append(out.error)
                 continue
-            self.mapping_times[m] = {
-                name: out.user_time(name) for name in self.names
-            }
+            self.mapping_times[m] = self._times(out)
         if not self.mapping_times:
             self.failure = MixFailure(
                 mix=self.names,
@@ -591,9 +523,7 @@ class _TwoPhasePlan:
                     wall_time=extra.wall_time,
                 )
                 return None
-            self.mapping_times[self.chosen] = {
-                name: extra.user_time(name) for name in self.names
-            }
+            self.mapping_times[self.chosen] = self._times(extra)
         return MixResult(
             names=self.names,
             mapping_times=self.mapping_times,
@@ -602,6 +532,41 @@ class _TwoPhasePlan:
             decisions=self.decisions,
             degradations=self.degradation_events,
         )
+
+
+def _run_plans(
+    plans: Sequence[_TwoPhasePlan], orchestrator, keep_going: bool = False
+) -> SweepResult:
+    """Execute two-phase plans; return their :class:`SweepResult`.
+
+    Every plan's specs go out as one batch, each plan resolves its slice,
+    and the chosen mappings outside their reference sets are measured in
+    one follow-up batch. ``None`` for *orchestrator* means an in-process
+    one (keep-going when *keep_going* is set) with no result cache. A mix
+    that produced no result raises :class:`~repro.errors.SimulationError`,
+    or with *keep_going* is recorded in the sweep's failure report.
+    """
+    orchestrator = orchestrator or Orchestrator(jobs=1, keep_going=keep_going)
+    outcomes = iter(
+        orchestrator.run_specs([spec for plan in plans for spec in plan.specs])
+    )
+    extra_specs = [
+        plan.resolve([next(outcomes) for _ in plan.specs]) for plan in plans
+    ]
+    pending = [spec for spec in extra_specs if spec is not None]
+    extras = iter(orchestrator.run_specs(pending) if pending else ())
+    sweep = SweepResult()
+    for plan, extra_spec in zip(plans, extra_specs):
+        result = plan.finish(None if extra_spec is None else next(extras))
+        if result is None:
+            if not keep_going:
+                raise SimulationError(
+                    f"mix {'+'.join(plan.names)} failed: {plan.failure.error}"
+                )
+            sweep.failures.add_failure(plan.failure)
+            continue
+        sweep.add(result)
+    return sweep
 
 
 def two_phase(
@@ -632,11 +597,11 @@ def two_phase(
     balanced mapping and report the chosen one's improvement over each
     benchmark's worst case.
 
-    With an *orchestrator*, both phases are expressed as declarative run
-    specs and submitted as one batch (phase 2's reference set does not
-    depend on phase 1's outcome), executing in parallel and hitting the
-    result cache; mappings in the returned :class:`MixResult` are then in
-    the spec index namespace (task index = position in *names*).
+    Both phases are run specs submitted as one batch (phase 2's reference
+    set does not depend on phase 1's outcome) through *orchestrator*, or
+    an in-process one when it is ``None``. *policy* must be one of
+    :data:`~repro.jobs.spec.POLICY_REGISTRY`'s classes; anything else
+    raises :class:`~repro.errors.ConfigurationError`.
 
     *faults* is an optional signature fault-injection plan (the dict form
     of a :class:`~repro.faults.injectors.SignatureFaultInjector`) applied
@@ -649,94 +614,25 @@ def two_phase(
     the real event stream); *estimator* carries optional
     :class:`~repro.estimate.options.EstimatorOptions` kwargs.
     """
-    if orchestrator is not None:
-        plan = _TwoPhasePlan(
-            machine,
-            names,
-            policy,
-            instructions=instructions,
-            seed=seed,
-            batch_accesses=batch_accesses,
-            monitor_interval=monitor_interval,
-            signature_overrides=signature_overrides,
-            scheduler_config=scheduler_config,
-            phase1_scheduler=phase1_scheduler,
-            phase1_min_wall=phase1_min_wall,
-            apply_during_phase1=apply_during_phase1,
-            max_mappings=max_mappings,
-            faults=faults,
-            backend=backend,
-            estimator=estimator,
-        )
-        extra_spec = plan.resolve(orchestrator.run_specs(plan.specs))
-        extra = (
-            orchestrator.run_spec(extra_spec)
-            if extra_spec is not None
-            else None
-        )
-        result = plan.finish(extra)
-        if result is None:
-            raise SimulationError(
-                f"mix {'+'.join(plan.names)} failed: {plan.failure.error}"
-            )
-        return result
-    tasks = build_tasks(list(names), instructions=instructions, seed=seed)
-    sig = default_signature_config(machine, **(signature_overrides or {}))
-    monitor = UserLevelMonitor(
+    plan = _TwoPhasePlan(
+        machine,
+        names,
         policy,
-        interval_cycles=monitor_interval,
-        apply=apply_during_phase1,
-        signature_capacity=sig.num_entries,
-    )
-    injector = None
-    if faults is not None:
-        from repro.faults.injectors import build_injector
-
-        injector = build_injector(faults)
-    if phase1_scheduler is None:
-        phase1_scheduler = _phase1_scheduler_default(machine)
-    phase1 = run_mix(
-        machine,
-        tasks,
-        monitor=monitor,
-        signature_config=sig,
+        instructions=instructions,
         seed=seed,
         batch_accesses=batch_accesses,
-        scheduler_config=phase1_scheduler,
-        min_wall_cycles=phase1_min_wall,
-        signature_injector=injector,
-    )
-    default = default_mapping_for(tasks, machine.num_cores)
-    chosen = phase1.majority_mapping or default
-    mapping_times = run_all_mappings(
-        machine,
-        tasks,
-        seed=seed,
-        batch_accesses=batch_accesses,
+        monitor_interval=monitor_interval,
+        signature_overrides=signature_overrides,
         scheduler_config=scheduler_config,
+        phase1_scheduler=phase1_scheduler,
+        phase1_min_wall=phase1_min_wall,
+        apply_during_phase1=apply_during_phase1,
         max_mappings=max_mappings,
+        faults=faults,
         backend=backend,
         estimator=estimator,
     )
-    if chosen.canonical() not in mapping_times:
-        # A lopsided phase-1 decision (possible with < cores·size tasks)
-        # is measured explicitly.
-        result = _measure_mix(
-            machine, tasks, mapping=chosen, seed=seed,
-            batch_accesses=batch_accesses, scheduler_config=scheduler_config,
-            backend=backend, estimator=estimator,
-        )
-        mapping_times[chosen.canonical()] = {
-            t.name: result.user_time(t.name) for t in tasks
-        }
-    return MixResult(
-        names=tuple(names),
-        mapping_times=mapping_times,
-        chosen_mapping=chosen.canonical(),
-        default_mapping=default,
-        decisions=tuple(phase1.decisions),
-        degradations=tuple(phase1.degradations),
-    )
+    return _run_plans([plan], orchestrator).mix_results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -862,83 +758,35 @@ def mix_sweep(
 ) -> SweepResult:
     """Run the two-phase methodology over many mixes (Figure 10/11 data).
 
-    With an *orchestrator*, every mix's phase-1 and phase-2 specs are
-    concatenated into a single batch — the whole sweep fans out at once —
-    followed by at most one small batch for chosen-outside-reference
-    measurements. Results are identical for any worker count.
+    Mix ``i`` is :func:`two_phase` at seed ``seed + i``. Every mix's
+    phase-1 and phase-2 specs are concatenated into a single batch — the
+    whole sweep fans out at once — followed by at most one small batch
+    for chosen-outside-reference measurements. Results are identical for
+    any worker count.
 
-    With ``keep_going=True`` (requires an orchestrator constructed with
-    ``keep_going=True``), a failing mix does not abort the sweep: its
+    With ``keep_going=True`` a failing mix does not abort the sweep: its
     error is salvaged into ``SweepResult.failures`` and every other mix
-    still completes. *faults* injects signature faults into phase 1 —
-    either one injector dict for every mix or a ``{mix tuple: dict}``
-    mapping for per-mix plans; mixes whose signature degrades fall back
-    to the default schedule and are named in the failure report.
+    still completes. A passed *orchestrator* must then be constructed
+    with ``keep_going=True`` too; the default in-process one is. *faults*
+    injects signature faults into phase 1 — either one injector dict for
+    every mix or a ``{mix tuple: dict}`` mapping for per-mix plans; mixes
+    whose signature degrades fall back to the default schedule and are
+    named in the failure report.
     """
-    sweep = SweepResult()
-    if orchestrator is not None:
-        plans = [
-            _TwoPhasePlan(
-                machine,
-                list(mix),
-                policy,
-                instructions=instructions,
-                seed=seed + i,
-                batch_accesses=batch_accesses,
-                faults=_faults_for(faults, tuple(mix)),
-                **two_phase_kwargs,
-            )
-            for i, mix in enumerate(mixes)
-        ]
-        outcomes = orchestrator.run_specs(
-            [spec for plan in plans for spec in plan.specs]
+    plans = [
+        _TwoPhasePlan(
+            machine,
+            mix,
+            policy,
+            instructions=instructions,
+            seed=seed + i,
+            batch_accesses=batch_accesses,
+            faults=_faults_for(faults, tuple(mix)),
+            **two_phase_kwargs,
         )
-        position = 0
-        extra_specs = []
-        for plan in plans:
-            chunk = outcomes[position:position + len(plan.specs)]
-            position += len(plan.specs)
-            extra_specs.append(plan.resolve(chunk))
-        pending = [s for s in extra_specs if s is not None]
-        extras = iter(orchestrator.run_specs(pending)) if pending else iter(())
-        for plan, extra_spec in zip(plans, extra_specs):
-            result = plan.finish(
-                next(extras) if extra_spec is not None else None
-            )
-            if result is None:
-                if not keep_going:
-                    raise SimulationError(
-                        f"mix {'+'.join(plan.names)} failed: "
-                        f"{plan.failure.error}"
-                    )
-                sweep.failures.add_failure(plan.failure)
-                continue
-            sweep.add(result)
-        return sweep
-    for i, mix in enumerate(mixes):
-        try:
-            result = two_phase(
-                machine,
-                list(mix),
-                policy,
-                instructions=instructions,
-                seed=seed + i,
-                batch_accesses=batch_accesses,
-                faults=_faults_for(faults, tuple(mix)),
-                **two_phase_kwargs,
-            )
-        except Exception as exc:
-            if not keep_going:
-                raise
-            sweep.failures.add_failure(
-                MixFailure(
-                    mix=tuple(mix),
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        sweep.add(result)
-    return sweep
+        for i, mix in enumerate(mixes)
+    ]
+    return _run_plans(plans, orchestrator, keep_going)
 
 
 # ---------------------------------------------------------------------------
@@ -966,191 +814,43 @@ def parsec_two_phase(
     likewise schedule-level. Improvements are per *application* user time
     (slowest thread's first completion).
 
-    With an *orchestrator*, phase 1 and the whole reference set run as one
-    batch; mappings are then in flat thread-index space (threads numbered
-    in application order).
+    Mappings are in flat thread-index space: application ``i`` owns the
+    contiguous range after its predecessors' threads, the build order of
+    :func:`~repro.perf.runner.build_parsec_processes`. Phase 1 and the
+    whole reference set run as one batch through *orchestrator* (default:
+    in-process).
     """
-    if orchestrator is not None:
-        return _parsec_two_phase_orchestrated(
-            machine,
-            app_names,
-            instructions_per_thread=instructions_per_thread,
-            seed=seed,
-            batch_accesses=batch_accesses,
-            monitor_interval=monitor_interval,
-            method=method,
-            scheduler_config=scheduler_config,
-            phase1_scheduler=phase1_scheduler,
-            phase1_min_wall=phase1_min_wall,
-            orchestrator=orchestrator,
-        )
-    processes = build_parsec_processes(
-        list(app_names), instructions_per_thread=instructions_per_thread, seed=seed
-    )
-    tasks: List[SimTask] = [t for p in processes for t in p.tasks]
-    sig = default_signature_config(machine)
-    policy = TwoPhasePolicy(method=method, seed=seed)
-    monitor = UserLevelMonitor(policy, interval_cycles=monitor_interval, apply=True)
-    if phase1_scheduler is None:
-        phase1_scheduler = _phase1_scheduler_default(machine)
-    phase1 = run_mix(
-        machine,
-        tasks,
-        monitor=monitor,
-        signature_config=sig,
-        seed=seed,
-        batch_accesses=batch_accesses,
-        scheduler_config=phase1_scheduler,
-        min_wall_cycles=phase1_min_wall,
-    )
-    default = default_mapping_for(tasks, machine.num_cores)
-    chosen = (phase1.majority_mapping or default).canonical()
-
-    def app_times(result) -> Dict[str, float]:
-        return {
-            p.name: max(
-                result.user_time(t.name) for t in p.tasks
-            )
-            for p in processes
-        }
-
-    mapping_times: Dict[Mapping, Dict[str, float]] = {}
-    # Reference: whole-process groupings (process pairs per core).
-    for proc_mapping in balanced_mappings(
-        [p.process_id for p in processes], machine.num_cores
-    ):
-        groups = []
-        for group in proc_mapping.groups:
-            tids = []
-            for p in processes:
-                if p.process_id in group:
-                    tids.extend(t.tid for t in p.tasks)
-            groups.append(tids)
-        mapping = canonical_mapping(groups)
-        result = run_mix(
-            machine, tasks, mapping=mapping, seed=seed,
-            batch_accesses=batch_accesses, scheduler_config=scheduler_config,
-        )
-        mapping_times[mapping] = app_times(result)
-    # Reference: default placement.
-    if default not in mapping_times:
-        result = run_mix(
-            machine, tasks, mapping=default, seed=seed,
-            batch_accesses=batch_accesses, scheduler_config=scheduler_config,
-        )
-        mapping_times[default] = app_times(result)
-    # Measured: the chosen (two-phase) schedule.
-    if chosen not in mapping_times:
-        result = run_mix(
-            machine, tasks, mapping=chosen, seed=seed,
-            batch_accesses=batch_accesses, scheduler_config=scheduler_config,
-        )
-        mapping_times[chosen] = app_times(result)
-    return MixResult(
-        names=tuple(app_names),
-        mapping_times=mapping_times,
-        chosen_mapping=chosen,
-        default_mapping=default,
-        decisions=tuple(phase1.decisions),
-        degradations=tuple(phase1.degradations),
-    )
-
-
-def _parsec_two_phase_orchestrated(
-    machine: MachineConfig,
-    app_names: Sequence[str],
-    *,
-    instructions_per_thread: int,
-    seed: int,
-    batch_accesses: int,
-    monitor_interval: float,
-    method: str,
-    scheduler_config: Optional[SchedulerConfig],
-    phase1_scheduler: Optional[SchedulerConfig],
-    phase1_min_wall: float,
-    orchestrator,
-) -> MixResult:
-    """:func:`parsec_two_phase` through the job orchestrator.
-
-    Thread indices are flat: application ``i`` owns the contiguous range
-    after its predecessors' threads, mirroring the build order of
-    :func:`~repro.perf.runner.build_parsec_processes`.
-    """
-    names = tuple(app_names)
-    workload = WorkloadSpec(
-        kind="parsec",
-        names=names,
-        instructions=instructions_per_thread,
-        seed=seed,
-    )
     spans: List[range] = []
     start = 0
-    for name in names:
+    for name in app_names:
         count = parsec_profile(name).threads
         spans.append(range(start, start + count))
         start += count
-
-    def measure(mapping: Mapping):
-        return make_run_spec(
-            machine,
-            workload,
-            mapping=[sorted(g) for g in mapping.groups],
-            scheduler=scheduler_config,
-            seed=seed,
-            batch_accesses=batch_accesses,
+    default = _default_index_mapping(start, machine.num_cores)
+    mappings = [
+        canonical_mapping(
+            [[i for app in sorted(g) for i in spans[app]]
+             for g in proc_mapping.groups]
         )
-
-    phase1_spec = make_run_spec(
+        for proc_mapping in balanced_mappings(
+            list(range(len(spans))), machine.num_cores
+        )
+    ]
+    if default not in mappings:
+        mappings.append(default)
+    plan = _TwoPhasePlan(
         machine,
-        workload,
-        monitor=MonitorSpec.make(
-            "two_phase",
-            {"method": method, "seed": seed},
-            interval_cycles=monitor_interval,
-            apply=True,
-        ),
-        signature=default_signature_config(machine),
-        scheduler=phase1_scheduler or _phase1_scheduler_default(machine),
+        app_names,
+        TwoPhasePolicy(method=method, seed=seed),
+        kind="parsec",
+        instructions=instructions_per_thread,
         seed=seed,
         batch_accesses=batch_accesses,
-        min_wall_cycles=phase1_min_wall,
+        monitor_interval=monitor_interval,
+        scheduler_config=scheduler_config,
+        phase1_scheduler=phase1_scheduler,
+        phase1_min_wall=phase1_min_wall,
+        mappings=mappings,
+        default=default,
     )
-    default = _default_index_mapping(start, machine.num_cores)
-    candidates = []
-    for proc_mapping in balanced_mappings(
-        list(range(len(names))), machine.num_cores
-    ):
-        groups = [
-            [i for app in sorted(g) for i in spans[app]]
-            for g in proc_mapping.groups
-        ]
-        candidates.append(canonical_mapping(groups))
-    if default not in candidates:
-        candidates.append(default)
-
-    outcomes = orchestrator.run_specs(
-        [phase1_spec] + [measure(m) for m in candidates]
-    )
-    phase1 = outcomes[0]
-    chosen = (phase1.majority_mapping() or default).canonical()
-
-    def app_times(outcome) -> Dict[str, float]:
-        return {
-            name: outcome.process_time(i) for i, name in enumerate(names)
-        }
-
-    mapping_times: Dict[Mapping, Dict[str, float]] = {
-        m: app_times(out) for m, out in zip(candidates, outcomes[1:])
-    }
-    if chosen not in mapping_times:
-        mapping_times[chosen] = app_times(
-            orchestrator.run_spec(measure(chosen))
-        )
-    return MixResult(
-        names=names,
-        mapping_times=mapping_times,
-        chosen_mapping=chosen,
-        default_mapping=default,
-        decisions=tuple(phase1.decisions_mappings()),
-        degradations=tuple(phase1.degradations),
-    )
+    return _run_plans([plan], orchestrator).mix_results[0]

@@ -218,7 +218,9 @@ class MulticoreSimulator:
             by_tid = {t.tid: t for t in self.tasks}
             placed = set()
             for core, group in enumerate(mapping.groups):
-                for tid in group:
+                # Sorted: a frozenset of tids iterates in an order that
+                # depends on the absolute tid values, not their ranks.
+                for tid in sorted(group):
                     if tid not in by_tid:
                         raise ConfigurationError(f"mapping names unknown task {tid}")
                     self.scheduler.add_task(by_tid[tid], core)

@@ -144,8 +144,10 @@ class OSScheduler:
             raise SchedulingError(
                 f"mapping uses {mapping.num_cores} cores, have {self.num_cores}"
             )
+        # Sorted, like the simulator's initial placement, so migrations
+        # happen in tid order whatever the absolute tid values.
         for core, group in enumerate(mapping.groups):
-            for tid in group:
+            for tid in sorted(group):
                 self.set_affinity(tid, core)
 
     # ------------------------------------------------------------------

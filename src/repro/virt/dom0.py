@@ -16,19 +16,22 @@ methodology with VM encapsulation.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.alloc.monitor import UserLevelMonitor
-from repro.jobs.spec import MonitorSpec, WorkloadSpec, make_run_spec, policy_to_spec
-from repro.perf.experiment import MixResult, SweepResult
+from repro.perf.experiment import (
+    MixResult,
+    SweepResult,
+    _run_plans,
+    _TwoPhasePlan,
+)
 from repro.perf.machine import MachineConfig
-from repro.perf.runner import default_signature_config
-from repro.sched.affinity import Mapping, balanced_mappings, canonical_mapping
+from repro.sched.affinity import Mapping
 from repro.sched.os_model import SchedulerConfig
 from repro.sched.syscall import SyscallInterface
 from repro.telemetry.context import current as telemetry_current
 from repro.utils.rng import stable_seed
-from repro.virt.hypervisor import DOM0_NAME, Hypervisor
+from repro.virt.hypervisor import DOM0_NAME
 from repro.virt.overhead import VirtualizationOverhead
 from repro.virt.vm import VirtualMachine
 from repro.workloads.spec import spec_profile
@@ -82,117 +85,37 @@ def _build_vms(
     return vms
 
 
-class _VmTwoPhasePlan:
-    """One VM mix's two-phase methodology as a batch of run specs.
+def _vm_plan(
+    machine: MachineConfig,
+    names: Sequence[str],
+    policy,
+    *,
+    instructions: int = 6_000_000,
+    overhead: Optional[VirtualizationOverhead] = None,
+    seed: int = 0,
+    batch_accesses: int = 256,
+    monitor_interval: float = 8_000_000.0,
+    phase1_min_wall: float = 160_000_000.0,
+    scheduler_config: Optional[SchedulerConfig] = None,
+) -> _TwoPhasePlan:
+    """One VM mix's two-phase plan, in vcpu-index space.
 
-    The virtualized analogue of the native two-phase plan: the phase-1
-    (Dom0-agent) spec and every vcpu-mapping measurement spec go out as
-    one batch; only a chosen-outside-reference mapping needs a second
-    round. Mappings are in vcpu-index space (vcpu ``i`` belongs to the
-    ``i``-th named VM).
+    Vcpu ``i`` belongs to the ``i``-th named VM; the overhead model is
+    active in both phases.
     """
-
-    def __init__(
-        self,
-        machine: MachineConfig,
-        names: Sequence[str],
+    return _TwoPhasePlan(
+        machine,
+        names,
         policy,
-        *,
-        instructions: int = 6_000_000,
-        overhead: Optional[VirtualizationOverhead] = None,
-        seed: int = 0,
-        batch_accesses: int = 256,
-        monitor_interval: float = 8_000_000.0,
-        phase1_min_wall: float = 160_000_000.0,
-        scheduler_config: Optional[SchedulerConfig] = None,
-    ):
-        self.names = tuple(names)
-        self.machine = machine
-        self.seed = seed
-        self.batch_accesses = batch_accesses
-        self.scheduler_config = scheduler_config
-        self.overhead = asdict(overhead or VirtualizationOverhead())
-        self.workload = WorkloadSpec(
-            kind="vm", names=self.names, instructions=instructions, seed=seed
-        )
-        policy_name, policy_kwargs = policy_to_spec(policy)
-        phase1_spec = make_run_spec(
-            machine,
-            self.workload,
-            monitor=MonitorSpec.make(
-                policy_name,
-                policy_kwargs,
-                interval_cycles=monitor_interval,
-                apply=True,
-            ),
-            signature=default_signature_config(machine),
-            scheduler=SchedulerConfig(
-                num_cores=machine.num_cores,
-                timeslice_cycles=8_000_000.0,
-                context_smoothing=0.6,
-            ),
-            overhead=self.overhead,
-            seed=seed,
-            batch_accesses=batch_accesses,
-            min_wall_cycles=phase1_min_wall,
-        )
-        n = len(self.names)
-        self.default = canonical_mapping(
-            [
-                [i for i in range(n) if i % machine.num_cores == c]
-                for c in range(machine.num_cores)
-            ]
-        )
-        self.mappings = balanced_mappings(list(range(n)), machine.num_cores)
-        self.specs = [phase1_spec] + [
-            self._measure_spec(m) for m in self.mappings
-        ]
-        self.chosen: Optional[Mapping] = None
-        self.decisions: Tuple[Mapping, ...] = ()
-        self.mapping_times: Dict[Mapping, Dict[str, float]] = {}
-
-    def _measure_spec(self, mapping: Mapping):
-        """The measurement spec of one vcpu-index mapping."""
-        return make_run_spec(
-            self.machine,
-            self.workload,
-            mapping=[sorted(g) for g in mapping.groups],
-            scheduler=self.scheduler_config,
-            overhead=self.overhead,
-            seed=self.seed,
-            batch_accesses=self.batch_accesses,
-        )
-
-    def _vm_times(self, outcome) -> Dict[str, float]:
-        return {
-            name: outcome.process_time(i)
-            for i, name in enumerate(self.names)
-        }
-
-    def resolve(self, outcomes):
-        """Consume this plan's outcomes; return any extra spec needed."""
-        phase1 = outcomes[0]
-        self.decisions = tuple(phase1.decisions_mappings())
-        self.chosen = (phase1.majority_mapping() or self.default).canonical()
-        self.mapping_times = {
-            m: self._vm_times(out)
-            for m, out in zip(self.mappings, outcomes[1:])
-        }
-        if self.chosen not in self.mapping_times:
-            return self._measure_spec(self.chosen)
-        return None
-
-    def finish(self, extra=None) -> MixResult:
-        """Assemble the :class:`~repro.perf.experiment.MixResult`."""
-        if extra is not None:
-            self.mapping_times[self.chosen] = self._vm_times(extra)
-        return MixResult(
-            names=self.names,
-            mapping_times=self.mapping_times,
-            chosen_mapping=self.chosen,
-            default_mapping=self.default,
-            decisions=self.decisions,
-        )
+        kind="vm",
+        instructions=instructions,
+        overhead=asdict(overhead or VirtualizationOverhead()),
+        seed=seed,
+        batch_accesses=batch_accesses,
+        monitor_interval=monitor_interval,
+        phase1_min_wall=phase1_min_wall,
+        scheduler_config=scheduler_config,
+    )
 
 
 def vm_two_phase(
@@ -215,86 +138,22 @@ def vm_two_phase(
     Dom0 agent making decisions over hypercalls, and the virtualization
     overhead model active in both phases.
 
-    With an *orchestrator*, both phases run as one (parallel, cached)
-    batch and mappings are in vcpu-index space.
+    Both phases run as one batch through *orchestrator* (default:
+    in-process); mappings are in vcpu-index space.
     """
-    if orchestrator is not None:
-        plan = _VmTwoPhasePlan(
-            machine,
-            names,
-            policy,
-            instructions=instructions,
-            overhead=overhead,
-            seed=seed,
-            batch_accesses=batch_accesses,
-            monitor_interval=monitor_interval,
-            phase1_min_wall=phase1_min_wall,
-            scheduler_config=scheduler_config,
-        )
-        extra_spec = plan.resolve(orchestrator.run_specs(plan.specs))
-        extra = (
-            orchestrator.run_spec(extra_spec)
-            if extra_spec is not None
-            else None
-        )
-        return plan.finish(extra)
-    vms = _build_vms(names, instructions, seed)
-    hypervisor = Hypervisor(machine, vms, overhead=overhead, seed=seed)
-    sig = default_signature_config(machine)
-    agent = Dom0AllocationAgent(
-        policy, interval_cycles=monitor_interval, apply=True
-    )
-    phase1_sched = SchedulerConfig(
-        num_cores=machine.num_cores,
-        timeslice_cycles=8_000_000.0,
-        context_smoothing=0.6,
-    )
-    phase1 = hypervisor.run(
-        signature_config=sig,
-        monitor=agent,
-        scheduler_config=phase1_sched,
+    plan = _vm_plan(
+        machine,
+        names,
+        policy,
+        instructions=instructions,
+        overhead=overhead,
         seed=seed,
         batch_accesses=batch_accesses,
-        min_wall_cycles=phase1_min_wall,
+        monitor_interval=monitor_interval,
+        phase1_min_wall=phase1_min_wall,
+        scheduler_config=scheduler_config,
     )
-
-    vcpu_tids = [vm.vcpus[0].tid for vm in vms]
-    default = canonical_mapping(
-        [
-            [tid for i, tid in enumerate(vcpu_tids) if i % machine.num_cores == c]
-            for c in range(machine.num_cores)
-        ]
-    )
-    chosen = (phase1.majority_mapping or default).canonical()
-
-    def vm_times(result) -> Dict[str, float]:
-        return {vm.name: vm.user_time(result) for vm in vms}
-
-    mapping_times: Dict[Mapping, Dict[str, float]] = {}
-    candidates = balanced_mappings(vcpu_tids, machine.num_cores)
-    for mapping in candidates:
-        result = hypervisor.run(
-            mapping=mapping,
-            scheduler_config=scheduler_config,
-            seed=seed,
-            batch_accesses=batch_accesses,
-        )
-        mapping_times[mapping] = vm_times(result)
-    if chosen not in mapping_times:
-        result = hypervisor.run(
-            mapping=chosen,
-            scheduler_config=scheduler_config,
-            seed=seed,
-            batch_accesses=batch_accesses,
-        )
-        mapping_times[chosen] = vm_times(result)
-    return MixResult(
-        names=tuple(names),
-        mapping_times=mapping_times,
-        chosen_mapping=chosen,
-        default_mapping=default,
-        decisions=tuple(phase1.decisions),
-    )
+    return _run_plans([plan], orchestrator).mix_results[0]
 
 
 def vm_mix_sweep(
@@ -310,52 +169,21 @@ def vm_mix_sweep(
 ) -> SweepResult:
     """Figure 11's sweep: per-benchmark max/avg improvement inside VMs.
 
-    With an *orchestrator*, every mix's specs are concatenated into one
-    batch (plus at most one follow-up batch), exactly like the native
-    :func:`~repro.perf.experiment.mix_sweep`.
+    Mix ``i`` is :func:`vm_two_phase` at seed ``seed + i``; every mix's
+    specs go out as one batch (plus at most one follow-up batch), exactly
+    like the native :func:`~repro.perf.experiment.mix_sweep`.
     """
-    sweep = SweepResult()
-    if orchestrator is not None:
-        plans = [
-            _VmTwoPhasePlan(
-                machine,
-                list(mix),
-                policy,
-                instructions=instructions,
-                overhead=overhead,
-                seed=seed + i,
-                batch_accesses=batch_accesses,
-                **two_phase_kwargs,
-            )
-            for i, mix in enumerate(mixes)
-        ]
-        outcomes = orchestrator.run_specs(
-            [spec for plan in plans for spec in plan.specs]
+    plans = [
+        _vm_plan(
+            machine,
+            mix,
+            policy,
+            instructions=instructions,
+            overhead=overhead,
+            seed=seed + i,
+            batch_accesses=batch_accesses,
+            **two_phase_kwargs,
         )
-        position = 0
-        extra_specs = []
-        for plan in plans:
-            chunk = outcomes[position:position + len(plan.specs)]
-            position += len(plan.specs)
-            extra_specs.append(plan.resolve(chunk))
-        pending = [s for s in extra_specs if s is not None]
-        extras = iter(orchestrator.run_specs(pending)) if pending else iter(())
-        for plan, extra_spec in zip(plans, extra_specs):
-            sweep.add(
-                plan.finish(next(extras) if extra_spec is not None else None)
-            )
-        return sweep
-    for i, mix in enumerate(mixes):
-        sweep.add(
-            vm_two_phase(
-                machine,
-                list(mix),
-                policy,
-                instructions=instructions,
-                overhead=overhead,
-                seed=seed + i,
-                batch_accesses=batch_accesses,
-                **two_phase_kwargs,
-            )
-        )
-    return sweep
+        for i, mix in enumerate(mixes)
+    ]
+    return _run_plans(plans, orchestrator)
