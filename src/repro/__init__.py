@@ -25,12 +25,7 @@ from repro.alloc import (
     WeightedInterferenceGraphPolicy,
     WeightSortPolicy,
 )
-from repro.core import (
-    BloomFilter,
-    CountingBloomFilter,
-    SignatureConfig,
-    SignatureUnit,
-)
+from repro.core import SignatureConfig, SignatureUnit
 from repro.perf import (
     MulticoreSimulator,
     TimingModel,
@@ -62,8 +57,6 @@ __all__ = [
     "UserLevelMonitor",
     "WeightedInterferenceGraphPolicy",
     "WeightSortPolicy",
-    "BloomFilter",
-    "CountingBloomFilter",
     "SignatureConfig",
     "SignatureUnit",
     "Orchestrator",

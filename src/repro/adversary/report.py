@@ -392,7 +392,6 @@ def score_adversary_mix(
         monitor=monitor,
         signature_config=sig,
         scheduler_config=_phase1_scheduler_default(machine),
-        seed=seed,
         min_wall_cycles=phase1_min_wall,
     )
     chosen = monitor.majority_mapping()
@@ -406,7 +405,7 @@ def score_adversary_mix(
     if chosen.canonical() not in times:
         # Lopsided phase-1 decisions fall outside the balanced reference
         # set; measure them explicitly (mirrors two_phase).
-        result = run_mix(machine, tasks, mapping=chosen, seed=seed)
+        result = run_mix(machine, tasks, mapping=chosen)
         times[chosen.canonical()] = {
             t.name: result.user_time(t.name) for t in tasks
         }

@@ -477,7 +477,6 @@ def figure14_hash_comparison(
                     signature_config=default_signature_config(
                         machine, hash_kind=kind
                     ),
-                    seed=seed + i,
                     scheduler_config=SchedulerConfig(
                         num_cores=machine.num_cores,
                         timeslice_cycles=8_000_000.0,

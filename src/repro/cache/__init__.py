@@ -10,13 +10,6 @@ from repro.cache.config import (
     tiny_cache,
 )
 from repro.cache.prefetch import PrefetchingCache, PrefetchStats
-from repro.cache.replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
 from repro.cache.stats import CacheStats
 from repro.cache.tlb import TLB, PageFaultTracker
 
@@ -30,11 +23,6 @@ __all__ = [
     "tiny_cache",
     "PrefetchingCache",
     "PrefetchStats",
-    "LRUPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "TreePLRUPolicy",
-    "make_policy",
     "CacheStats",
     "TLB",
     "PageFaultTracker",

@@ -8,10 +8,14 @@ replacement produces an *eviction* event, and both carry the physical slot
 Performance notes (this is the simulation hot loop):
 
 * All state is set-major: ``(num_sets, ways)`` int64 matrices of tags
-  (-1 marks an invalid line) and of the core that filled each line, plus,
-  under LRU, the policy's per-line recency stamps. Every query is one
-  numpy expression over those matrices.
-* LRU :meth:`access_batch` runs in *rounds*: round *r* holds each set's
+  (-1 marks an invalid line), of the core that filled each line and of
+  the LRU recency stamps. Every query is one numpy expression over those
+  matrices.
+* Replacement is true LRU. A line's stamp is the clock value of its last
+  access; empty lines keep stamp 0, below every valid stamp, so the first
+  minimum of a row is the lowest empty way, else the least recently used
+  line of a full set.
+* :meth:`access_batch` runs in *rounds*: round *r* holds each set's
   *r*-th reference of the batch, so the sets of one round are distinct and
   the round is one vectorised step (gather the set rows, find each hit
   way or victim with one ``argmin``, write tags and stamps). A batch whose
@@ -19,27 +23,21 @@ Performance notes (this is the simulation hot loop):
   references' positions on a global clock, so rounds reproduce strictly
   sequential LRU exactly; the event arrays are reassembled in access
   order and the filled lines' owners written once per batch.
-* Random and tree-PLRU replacement walk the batch one reference at a time
-  over the same matrices: the random policy must draw its victims in
-  reference order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.replacement import LRUPolicy, make_policy
 from repro.cache.stats import CacheStats
 from repro.errors import ConfigurationError
 from repro.utils.validation import require_positive
 
 __all__ = ["AccessResult", "SetAssociativeCache"]
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -80,14 +78,12 @@ class SetAssociativeCache:
     Parameters
     ----------
     config:
-        Geometry + replacement policy.
+        Name and geometry.
     num_cores:
         Number of distinct requesters (for stats and fill attribution).
-    seed:
-        Seed for the random replacement policy (ignored for LRU/PLRU).
     """
 
-    def __init__(self, config: CacheConfig, num_cores: int = 1, seed: int = 0):
+    def __init__(self, config: CacheConfig, num_cores: int = 1):
         self.config = config
         self.geometry = config.geometry
         self.num_cores = require_positive(num_cores, "num_cores")
@@ -95,16 +91,16 @@ class SetAssociativeCache:
         self.num_sets = g.num_sets
         self.ways = g.ways
         self._set_mask = self.num_sets - 1
-        self._policy = make_policy(
-            config.replacement, self.num_sets, self.ways, seed=seed
-        )
-        self._lru = isinstance(self._policy, LRUPolicy)
-        # Set-major line state: tag (-1 = invalid) and last filling core.
+        # Set-major line state: tag (-1 = invalid), last filling core and
+        # LRU stamp (0 = empty line) on the clock of the last access.
         self._tags = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
         self._tag_owner = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
+        self._stamps = np.zeros((self.num_sets, self.ways), dtype=np.int64)
+        self._clock = 0
         # Slot-indexed (set*ways + way) views of the same memory.
         self._slot_tags = self._tags.reshape(-1)
         self._slot_owner = self._tag_owner.reshape(-1)
+        self._slot_stamps = self._stamps.reshape(-1)
         self.stats = CacheStats(num_cores=self.num_cores)
 
     # ------------------------------------------------------------------
@@ -154,19 +150,15 @@ class SetAssociativeCache:
             raise ConfigurationError(
                 f"negative block address {int(blocks.min())} in access batch"
             )
-        if self._lru:
-            result = self._access_batch_lru(core, blocks)
-        else:
-            result = self._access_batch_generic(core, blocks)
+        result = self._access_batch_lru(core, blocks)
         self.stats.record(core, result.hits, result.misses, len(result.evictions))
         return result
 
     def _access_batch_lru(self, core: int, blocks: np.ndarray) -> AccessResult:
         n = len(blocks)
         sets = blocks & self._set_mask
-        policy = self._policy
-        first_stamp = policy.clock + 1
-        policy.clock += n
+        first_stamp = self._clock + 1
+        self._clock += n
         order = sets.argsort(kind="stable")
         sorted_sets = sets[order]
         repeats = sorted_sets[1:] == sorted_sets[:-1]
@@ -217,76 +209,22 @@ class SetAssociativeCache:
         row finds the hit way, else the lowest empty way (stamp 0), else
         the least recently used one. Owners are the caller's to write.
         """
-        key = self._policy.stamps.take(sets, axis=0)
+        key = self._stamps.take(sets, axis=0)
         key[self._tags.take(sets, axis=0) == blocks[:, None]] = -1
         slots = sets * self.ways + key.argmin(axis=1)
         old = self._slot_tags.take(slots)
         self._slot_tags[slots] = blocks
-        self._policy.stamps.reshape(-1)[slots] = stamps
+        self._slot_stamps[slots] = stamps
         return slots, old
-
-    def _access_batch_generic(self, core: int, blocks: np.ndarray) -> AccessResult:
-        policy = self._policy
-        tags = self._tags
-        owners = self._tag_owner
-        set_mask = self._set_mask
-        ways = self.ways
-        hits = 0
-        fills: List[int] = []
-        fill_slots: List[int] = []
-        evictions: List[int] = []
-        evict_slots: List[int] = []
-        evict_fill_pos: List[int] = []
-        for block in blocks.tolist():
-            s = block & set_mask
-            row = tags[s]
-            way = -1
-            for w in range(ways):
-                if row[w] == block:
-                    way = w
-                    break
-            if way >= 0:
-                hits += 1
-                policy.on_access(s, way)
-                continue
-            # Miss: prefer an invalid way, else ask the policy for a victim.
-            way = -1
-            for w in range(ways):
-                if row[w] < 0:
-                    way = w
-                    break
-            if way < 0:
-                way = policy.victim(s)
-                evictions.append(int(row[way]))
-                evict_slots.append(s * ways + way)
-                evict_fill_pos.append(len(fills))
-            tags[s, way] = block
-            owners[s, way] = core
-            policy.on_access(s, way)
-            fills.append(block)
-            fill_slots.append(s * ways + way)
-        return AccessResult(
-            hits=hits,
-            misses=len(fills),
-            fills=np.asarray(fills, dtype=np.int64) if fills else _EMPTY,
-            fill_slots=np.asarray(fill_slots, dtype=np.int64) if fills else _EMPTY,
-            evictions=np.asarray(evictions, dtype=np.int64) if evictions else _EMPTY,
-            evict_slots=np.asarray(evict_slots, dtype=np.int64) if evictions else _EMPTY,
-            evict_fill_pos=(
-                np.asarray(evict_fill_pos, dtype=np.int64) if evictions else _EMPTY
-            ),
-        )
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Invalidate all lines and zero statistics."""
         self._tags.fill(-1)
         self._tag_owner.fill(-1)
-        self._policy.reset()
+        self._stamps.fill(0)
+        self._clock = 0
         self.stats.reset()
 
     def __repr__(self) -> str:
-        return (
-            f"SetAssociativeCache({self.geometry}, cores={self.num_cores}, "
-            f"policy={self.config.replacement!r})"
-        )
+        return f"SetAssociativeCache({self.geometry}, cores={self.num_cores})"

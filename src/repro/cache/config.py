@@ -24,9 +24,6 @@ __all__ = [
     "tiny_cache",
 ]
 
-_REPLACEMENT_POLICIES = ("lru", "random", "plru")
-
-
 @dataclass(frozen=True)
 class CacheGeometry:
     """Physical shape of one cache.
@@ -87,46 +84,33 @@ class CacheGeometry:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """A named cache with geometry and replacement policy."""
+    """A named cache geometry; every simulated cache replaces LRU."""
 
     name: str
     geometry: CacheGeometry
-    replacement: str = "lru"
-
-    def __post_init__(self) -> None:
-        if self.replacement not in _REPLACEMENT_POLICIES:
-            raise GeometryError(
-                f"unknown replacement policy {self.replacement!r}; "
-                f"expected one of {_REPLACEMENT_POLICIES}"
-            )
 
 
-def core2duo_l2(replacement: str = "lru") -> CacheConfig:
+def core2duo_l2() -> CacheConfig:
     """The paper's target: 4 MB, 16-way, 64 B lines (4096 sets)."""
     return CacheConfig(
         name="core2duo-l2",
         geometry=CacheGeometry(size_bytes=4 * 1024 * 1024, line_bytes=64, ways=16),
-        replacement=replacement,
     )
 
 
-def p4xeon_l2(replacement: str = "lru") -> CacheConfig:
+def p4xeon_l2() -> CacheConfig:
     """The paper's control platform: private 2 MB, 8-way, 64 B lines."""
     return CacheConfig(
         name="p4xeon-l2",
         geometry=CacheGeometry(size_bytes=2 * 1024 * 1024, line_bytes=64, ways=8),
-        replacement=replacement,
     )
 
 
-def tiny_cache(
-    sets: int = 8, ways: int = 2, line_bytes: int = 64, replacement: str = "lru"
-) -> CacheConfig:
+def tiny_cache(sets: int = 8, ways: int = 2, line_bytes: int = 64) -> CacheConfig:
     """A small cache for unit tests and the Figure 1 concept demo."""
     return CacheConfig(
         name="tiny",
         geometry=CacheGeometry(
             size_bytes=sets * ways * line_bytes, line_bytes=line_bytes, ways=ways
         ),
-        replacement=replacement,
     )

@@ -6,14 +6,13 @@ track the cache working set over time. To regenerate that figure we need
 those counters, so this module models:
 
 * :class:`TLB` — a small LRU translation buffer over virtual page numbers;
-* :class:`PageFaultTracker` — first-touch (minor) page faults with an
-  optional resident-set limit evicting least-recently-used pages.
+* :class:`PageFaultTracker` — first-touch (minor) page faults.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Set
 
 import numpy as np
 
@@ -81,21 +80,15 @@ class TLB:
 
 
 class PageFaultTracker:
-    """Counts page faults under a first-touch / LRU-resident-set model.
+    """Counts first-touch (minor) page faults: every page faults once.
 
-    With ``resident_limit=None`` every page faults exactly once (minor,
-    first-touch faults). With a limit, the tracker evicts the least
-    recently used page when the resident set overflows, so re-touching an
-    evicted page faults again (major-fault behaviour).
+    Touched pages stay resident; nothing is ever evicted.
     """
 
-    def __init__(self, page_bytes: int = 4096, resident_limit: Optional[int] = None):
+    def __init__(self, page_bytes: int = 4096):
         self.page_bytes = require_positive(page_bytes, "page_bytes")
-        if resident_limit is not None:
-            require_positive(resident_limit, "resident_limit")
-        self.resident_limit = resident_limit
         self._page_shift = (page_bytes - 1).bit_length()
-        self._resident: "OrderedDict[int, None]" = OrderedDict()
+        self._resident: Set[int] = set()
         self.faults = 0
 
     def touch_addresses(self, addresses: np.ndarray) -> int:
@@ -106,23 +99,15 @@ class PageFaultTracker:
 
     def touch_pages(self, pages: np.ndarray) -> int:
         """Touch page numbers; returns the batch fault count."""
-        resident = self._resident
-        limit = self.resident_limit
-        faults = 0
-        for page in pages.tolist():
-            if page in resident:
-                resident.move_to_end(page)
-            else:
-                faults += 1
-                resident[page] = None
-                if limit is not None and len(resident) > limit:
-                    resident.popitem(last=False)
+        before = len(self._resident)
+        self._resident.update(pages.tolist())
+        faults = len(self._resident) - before
         self.faults += faults
         return faults
 
     @property
     def resident_pages(self) -> int:
-        """Current resident-set size in pages."""
+        """Distinct pages touched since the last reset."""
         return len(self._resident)
 
     def reset(self) -> None:

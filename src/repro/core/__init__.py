@@ -2,17 +2,16 @@
 
 Public surface:
 
-* :class:`BloomFilter` / :class:`CountingBloomFilter` — the Section 2.4
-  building blocks.
-* :class:`SignatureUnit` / :class:`SignatureConfig` — the split CBF with
-  per-core Core/Last Filters (Section 3.1).
+* :class:`SignatureUnit` / :class:`SignatureConfig` — the split counting
+  Bloom filter with per-core Core/Last Filters (Section 3.1), the only
+  CBF the simulator runs; with one core it is the textbook CBF of
+  Section 2.4.
 * :class:`SignatureSample` / :class:`SignatureContext` — the per-process
   ``(2+N)``-entry OS record (Section 3.2).
 * metric helpers (RBV / occupancy / symbiosis / interference) and the
   Section 5.4 overhead models.
 """
 
-from repro.core.cbf import BloomFilter, CountingBloomFilter
 from repro.core.context import SignatureContext, SignatureSample
 from repro.core.hashes import (
     HASH_KINDS,
@@ -48,8 +47,6 @@ from repro.core.signature import (
 )
 
 __all__ = [
-    "BloomFilter",
-    "CountingBloomFilter",
     "SignatureContext",
     "SignatureSample",
     "HASH_KINDS",

@@ -55,7 +55,6 @@ def make_exact_simulator(
     mapping: Optional[MappingLike] = None,
     scheduler_config: Optional[SchedulerConfig] = None,
     batch_accesses: int = 256,
-    seed: int = 0,
 ) -> MulticoreSimulator:
     """Construct the exact simulator for an estimate-internal run.
 
@@ -70,7 +69,6 @@ def make_exact_simulator(
         mapping=as_mapping(mapping),
         scheduler_config=scheduler_config,
         batch_accesses=batch_accesses,
-        seed=seed,
     )
 
 
@@ -89,7 +87,6 @@ def estimate_mix(
     mapping: Optional[MappingLike] = None,
     scheduler_config: Optional[SchedulerConfig] = None,
     batch_accesses: int = 256,
-    seed: int = 0,
     options: Optional[EstimatorOptions] = None,
     gate: Optional[EstimateGate] = None,
 ) -> Tuple[SimulationResult, Optional[SampleReport]]:
@@ -140,7 +137,6 @@ def estimate_mix(
                 mapping=mapping,
                 scheduler_config=scheduler_config,
                 batch_accesses=batch_accesses,
-                seed=seed,
             ).run()
             report = None
         elif backend == "analytical":
@@ -159,7 +155,6 @@ def estimate_mix(
                 mapping=mapping,
                 scheduler_config=scheduler_config,
                 batch_accesses=batch_accesses,
-                seed=seed,
                 options=options,
             )
     finally:

@@ -177,7 +177,6 @@ def sampled_simulation(
     mapping: Optional[Mapping] = None,
     scheduler_config: Optional[SchedulerConfig] = None,
     batch_accesses: int = 256,
-    seed: int = 0,
     options: Optional[EstimatorOptions] = None,
 ) -> Tuple[SimulationResult, SampleReport]:
     """Simulate representative intervals exactly, extrapolate the rest.
@@ -206,7 +205,6 @@ def sampled_simulation(
         mapping=mapping,
         scheduler_config=scheduler_config,
         batch_accesses=batch_accesses,
-        seed=seed,
     )
     result = simulator.run()
 

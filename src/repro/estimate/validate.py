@@ -74,9 +74,7 @@ def sampled_pairwise(
     solo_times: Dict[str, float] = {}
     for name in ordered:
         tasks = build_tasks([name], instructions=instructions, seed=seed)
-        result, _ = sampled_simulation(
-            machine, tasks, seed=seed, options=options
-        )
+        result, _ = sampled_simulation(machine, tasks, options=options)
         solo_times[name] = result.user_time(name)
     pair_times: Dict[Tuple[str, str], Dict[str, float]] = {}
     for a, b in itertools.combinations(ordered, 2):
@@ -85,7 +83,6 @@ def sampled_pairwise(
             machine,
             tasks,
             mapping=Mapping.from_groups([[tasks[0].tid], [tasks[1].tid]]),
-            seed=seed,
             options=options,
         )
         pair_times[(a, b)] = {a: result.user_time(a), b: result.user_time(b)}
@@ -266,10 +263,10 @@ def _mix_miss_rate(
     """Aggregate L2 miss rate of the whole mix under one backend."""
     tasks = build_tasks(list(mix), instructions=instructions, seed=seed)
     if backend == "exact":
-        return run_mix(machine, tasks, seed=seed).l2_miss_rate
+        return run_mix(machine, tasks).l2_miss_rate
     if backend == "analytical":
         return analytical_simulation(machine, tasks, options=options).l2_miss_rate
-    result, _ = sampled_simulation(machine, tasks, seed=seed, options=options)
+    result, _ = sampled_simulation(machine, tasks, options=options)
     return result.l2_miss_rate
 
 

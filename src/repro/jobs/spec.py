@@ -121,11 +121,7 @@ def machine_to_dict(machine: MachineConfig) -> Dict[str, Any]:
 def _cache_from_dict(d: Optional[TMapping[str, Any]]) -> Optional[CacheConfig]:
     if d is None:
         return None
-    return CacheConfig(
-        name=d["name"],
-        geometry=CacheGeometry(**d["geometry"]),
-        replacement=d["replacement"],
-    )
+    return CacheConfig(name=d["name"], geometry=CacheGeometry(**d["geometry"]))
 
 
 def machine_from_dict(d: TMapping[str, Any]) -> MachineConfig:
@@ -284,7 +280,7 @@ class RunSpec:
         Optional :class:`~repro.virt.overhead.VirtualizationOverhead`
         kwargs (``vm`` workloads only).
     seed:
-        Simulation seed (cache placement, Dom0 workload).
+        Seed of the Dom0 background workload (``vm`` workloads only).
     batch_accesses:
         Interleaving grain of the simulator.
     min_wall_cycles / max_wall_cycles:
@@ -683,7 +679,6 @@ def _execute_spec_inner(spec: RunSpec) -> Dict[str, Any]:
             signature_config=signature,
             scheduler_config=scheduler,
             batch_accesses=spec.batch_accesses,
-            seed=spec.seed,
             min_wall_cycles=spec.min_wall_cycles,
             max_wall_cycles=spec.max_wall_cycles,
             signature_injector=injector,
@@ -755,7 +750,6 @@ def _execute_estimated(spec: RunSpec, machine, scheduler, mapping):
         mapping=mapping,
         scheduler_config=scheduler,
         batch_accesses=spec.batch_accesses,
-        seed=spec.seed,
         options=EstimatorOptions.from_dict(spec.estimator),
     )
     return result
@@ -838,7 +832,6 @@ def _execute_vm(spec, machine, signature, scheduler, mapping, injector=None):
         monitor=monitor,
         scheduler_config=scheduler,
         batch_accesses=spec.batch_accesses,
-        seed=spec.seed,
         min_wall_cycles=spec.min_wall_cycles,
         max_wall_cycles=spec.max_wall_cycles,
         signature_injector=injector,

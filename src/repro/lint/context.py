@@ -39,7 +39,6 @@ SIM_CORE_PACKAGES: Tuple[str, ...] = (
     "repro.sched",
     "repro.alloc",
     "repro.virt",
-    "repro.trace",
     "repro.workloads",
     "repro.utils",
     "repro.estimate",

@@ -256,7 +256,6 @@ def run_all_mappings(
                 machine,
                 tasks,
                 mapping=mapping,
-                seed=seed,
                 batch_accesses=batch_accesses,
                 scheduler_config=scheduler_config,
             )
@@ -268,7 +267,6 @@ def run_all_mappings(
                 mapping=mapping,
                 scheduler_config=scheduler_config,
                 batch_accesses=batch_accesses,
-                seed=seed,
                 options=EstimatorOptions.from_dict(estimator),
             )
         times[mapping] = {t.name: result.user_time(t.name) for t in tasks}

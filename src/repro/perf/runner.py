@@ -109,7 +109,6 @@ def run_mix(
     signature_config: Optional[SignatureConfig] = None,
     scheduler_config: Optional[SchedulerConfig] = None,
     batch_accesses: int = 256,
-    seed: int = 0,
     max_wall_cycles: Optional[float] = None,
     min_wall_cycles: Optional[float] = None,
     signature_injector=None,
@@ -123,7 +122,6 @@ def run_mix(
         monitor=monitor,
         scheduler_config=scheduler_config,
         batch_accesses=batch_accesses,
-        seed=seed,
         signature_injector=signature_injector,
     )
     return sim.run(
@@ -140,4 +138,4 @@ def run_solo(
 ) -> SimulationResult:
     """Run one benchmark alone on the machine (baseline for degradations)."""
     tasks = build_tasks([name], instructions=instructions, seed=seed)
-    return run_mix(machine, tasks, batch_accesses=batch_accesses, seed=seed)
+    return run_mix(machine, tasks, batch_accesses=batch_accesses)

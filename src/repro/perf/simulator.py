@@ -157,7 +157,6 @@ class MulticoreSimulator:
         monitor=None,
         scheduler_config: Optional[SchedulerConfig] = None,
         batch_accesses: int = 256,
-        seed: int = 0,
         signature_injector=None,
     ):
         if not tasks:
@@ -168,21 +167,19 @@ class MulticoreSimulator:
         n = machine.num_cores
 
         if machine.shared_l2:
-            shared = SetAssociativeCache(machine.l2, num_cores=n, seed=seed)
+            shared = SetAssociativeCache(machine.l2, num_cores=n)
             self.caches: List[SetAssociativeCache] = [shared] * n
             self._shared_cache = shared
         else:
             self.caches = [
-                SetAssociativeCache(machine.l2, num_cores=1, seed=seed + c)
-                for c in range(n)
+                SetAssociativeCache(machine.l2, num_cores=1) for _ in range(n)
             ]
             self._shared_cache = None
         # Optional private L1s: filter each core's stream before the L2
         # (the signature hardware then observes the true L2 miss stream).
         if machine.l1 is not None:
             self._l1s: Optional[List[SetAssociativeCache]] = [
-                SetAssociativeCache(machine.l1, num_cores=1, seed=seed + 100 + c)
-                for c in range(n)
+                SetAssociativeCache(machine.l1, num_cores=1) for _ in range(n)
             ]
         else:
             self._l1s = None

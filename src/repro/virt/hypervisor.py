@@ -116,7 +116,6 @@ class Hypervisor:
         monitor=None,
         scheduler_config: Optional[SchedulerConfig] = None,
         batch_accesses: int = 256,
-        seed: int = 0,
         signature_injector=None,
     ) -> MulticoreSimulator:
         """Build a virtualized simulation.
@@ -132,7 +131,6 @@ class Hypervisor:
             monitor=monitor,
             scheduler_config=self.scheduler_config(scheduler_config),
             batch_accesses=batch_accesses,
-            seed=seed,
             signature_injector=signature_injector,
         )
 
@@ -143,7 +141,6 @@ class Hypervisor:
         monitor=None,
         scheduler_config: Optional[SchedulerConfig] = None,
         batch_accesses: int = 256,
-        seed: int = 0,
         min_wall_cycles: Optional[float] = None,
         max_wall_cycles: Optional[float] = None,
         signature_injector=None,
@@ -155,7 +152,6 @@ class Hypervisor:
             monitor=monitor,
             scheduler_config=scheduler_config,
             batch_accesses=batch_accesses,
-            seed=seed,
             signature_injector=signature_injector,
         )
         tel = telemetry_current()

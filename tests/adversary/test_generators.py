@@ -10,8 +10,8 @@ from repro.adversary import (
     ThrashingGenerator,
     alias_preimages,
 )
-from repro.core.cbf import CountingBloomFilter
 from repro.core.hashes import XorFoldHash
+from repro.core.signature import SignatureConfig, SignatureUnit
 from repro.errors import ConfigurationError, WorkloadError
 
 ENTRIES = 1024
@@ -103,9 +103,10 @@ class TestSaturatingGenerator:
 
     def test_saturates_a_matching_filter(self):
         gen = SaturatingGenerator(256, pressure=4.0, seed=3)
-        cbf = CountingBloomFilter(256, num_hashes=1)
-        cbf.insert_many(np.unique(gen.next_batch(4096)))
-        assert cbf.occupancy_fraction() > 0.95
+        unit = SignatureUnit(SignatureConfig(num_cores=1, num_sets=64, ways=4))
+        assert unit.num_entries == 256
+        unit.record_fill_batch(0, np.unique(gen.next_batch(4096)))
+        assert unit.total_occupancy() / unit.num_entries > 0.95
 
     def test_rejects_nonpositive_pressure(self):
         with pytest.raises(WorkloadError):

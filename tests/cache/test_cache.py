@@ -10,8 +10,8 @@ from repro.cache.config import tiny_cache
 from repro.errors import ConfigurationError
 
 
-def small_cache(sets=4, ways=2, policy="lru", cores=2):
-    return SetAssociativeCache(tiny_cache(sets=sets, ways=ways, replacement=policy), num_cores=cores)
+def small_cache(sets=4, ways=2, cores=2):
+    return SetAssociativeCache(tiny_cache(sets=sets, ways=ways), num_cores=cores)
 
 
 class TestBasicBehaviour:
@@ -136,48 +136,19 @@ class TestPaperFigure1:
         assert cb.footprint_lines() == 4
 
 
-@pytest.mark.parametrize("policy", ["random", "plru"])
-class TestGenericPolicies:
-    def test_hit_after_fill(self, policy):
-        c = small_cache(policy=policy)
-        c.access_one(0, 3)
-        hit, _ = c.access_one(0, 3)
-        assert hit
-
-    def test_eviction_happens_when_full(self, policy):
-        c = small_cache(sets=1, ways=2, policy=policy)
-        r = c.access_batch(0, np.arange(10, dtype=np.int64))
-        assert len(r.evictions) == 8
-        assert c.footprint_lines() == 2
-
-    def test_reset(self, policy):
-        c = small_cache(policy=policy)
-        c.access_batch(0, np.array([0, 1, 2]))
-        c.reset()
-        assert c.footprint_lines() == 0
-        assert c.resident_blocks().tolist() == []
-
-    def test_occupancy_by_core(self, policy):
-        c = small_cache(sets=8, ways=2, policy=policy, cores=2)
-        c.access_batch(0, np.array([0, 1]))
-        c.access_batch(1, np.array([2]))
-        assert c.occupancy_by_core().tolist() == [2, 1]
-
-
-@pytest.mark.parametrize("policy", ["lru", "random", "plru"])
 class TestNegativeBlocks:
-    """-1 marks an invalid line, so no policy may accept negative blocks."""
+    """-1 marks an invalid line, so the cache rejects negative blocks."""
 
-    def test_cold_cache_rejects_minus_one(self, policy):
-        c = small_cache(policy=policy)
+    def test_cold_cache_rejects_minus_one(self):
+        c = small_cache()
         with pytest.raises(ConfigurationError):
             c.access_batch(0, np.array([-1]))
         assert c.footprint_lines() == 0
         assert c.stats.total_accesses == 0
         assert not c.contains(-1)
 
-    def test_negative_anywhere_in_batch_rejected(self, policy):
-        c = small_cache(policy=policy)
+    def test_negative_anywhere_in_batch_rejected(self):
+        c = small_cache()
         with pytest.raises(ConfigurationError):
             c.access_batch(0, np.array([3, 7, -5]))
         assert c.footprint_lines() == 0

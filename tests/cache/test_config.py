@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.cache.config import (
-    CacheConfig,
-    CacheGeometry,
-    core2duo_l2,
-    p4xeon_l2,
-    tiny_cache,
-)
+from repro.cache.config import CacheGeometry, core2duo_l2, p4xeon_l2, tiny_cache
 from repro.errors import ConfigurationError, GeometryError
 
 
@@ -68,11 +62,3 @@ class TestPresets:
         cfg = tiny_cache(sets=8, ways=1)
         assert cfg.geometry.num_sets == 8
         assert cfg.geometry.ways == 1
-
-    def test_replacement_validated(self):
-        with pytest.raises(GeometryError):
-            CacheConfig(name="x", geometry=core2duo_l2().geometry, replacement="fifo")
-
-    @pytest.mark.parametrize("policy", ["lru", "random", "plru"])
-    def test_presets_accept_policy(self, policy):
-        assert core2duo_l2(policy).replacement == policy

@@ -4,7 +4,10 @@ The oracle keeps one ``OrderedDict`` per set (least recent first), hands
 out physical ways in fill order and remembers which core filled each
 line. It shares no code or representation with
 :class:`~repro.cache.cache.SetAssociativeCache`, so agreement on whole
-multi-core batches checks the vectorised round-based LRU path.
+multi-core batches checks the vectorised round-based LRU path. Scenarios
+may reset the cache between batches; the oracle then restarts empty, so
+a reset that left recency state behind would place later fills in other
+ways.
 """
 
 from collections import OrderedDict
@@ -71,14 +74,22 @@ class OracleLRU:
 
 @st.composite
 def scenarios(draw):
-    """A geometry, a core count and a sequence of typed batches."""
+    """A geometry, a core count and a sequence of typed batches.
+
+    A ``None`` step resets the cache.
+    """
     sets = 1 << draw(st.integers(min_value=0, max_value=4))
     ways = draw(st.integers(min_value=1, max_value=5))
     cores = draw(st.integers(min_value=1, max_value=3))
     tags = st.integers(min_value=0, max_value=3 * ways)
     batches = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        kind = draw(st.sampled_from(["distinct", "hot_set", "repeat", "empty", "mixed"]))
+        kind = draw(st.sampled_from(
+            ["distinct", "hot_set", "repeat", "empty", "mixed", "reset"]
+        ))
+        if kind == "reset":
+            batches.append(None)
+            continue
         if kind == "distinct":
             chosen = draw(st.lists(st.integers(0, sets - 1), unique=True, max_size=sets))
             blocks = [draw(tags) * sets + s for s in chosen]
@@ -108,23 +119,32 @@ class TestBatchesAgainstOracle:
     @example((1, 3, 2, [(0, [0, 1, 2, 3, 1, 0]), (1, []), (1, [5, 5, 0, 6, 7, 5])]))
     @example((8, 1, 2, [(0, list(range(8))), (1, [8, 0, 16, 8, 24]), (0, [3, 3, 3])]))
     @example((1, 1, 1, [(0, [4, 4, 2, 4]), (0, [])]))
+    # After a reset the empty ways fill in order: slots 0, 1, then 0,
+    # whichever way was least recent before it.
+    @example((1, 2, 1, [(0, [0, 1]), None, (0, [5, 6, 7])]))
+    @example((1, 2, 1, [(0, [0, 1, 0]), None, (0, [5, 6, 7])]))
     def test_every_batch_matches(self, scenario):
         sets, ways, cores, batches = scenario
         cache = SetAssociativeCache(tiny_cache(sets=sets, ways=ways), num_cores=cores)
         oracle = OracleLRU(sets, ways, cores)
         seen = set()
-        for core, blocks in batches:
-            got = cache.access_batch(core, np.asarray(blocks, dtype=np.int64))
-            want = oracle.access_batch(core, blocks)
-            assert got.hits == want["hits"]
-            assert got.misses == want["misses"]
-            for name in (
-                "fills", "fill_slots", "evictions", "evict_slots", "evict_fill_pos"
-            ):
-                field = getattr(got, name)
-                assert field.dtype == np.int64, name
-                assert field.tolist() == want[name], name
-            seen.update(blocks)
+        for step in batches:
+            if step is None:
+                cache.reset()
+                oracle = OracleLRU(sets, ways, cores)
+            else:
+                core, blocks = step
+                got = cache.access_batch(core, np.asarray(blocks, dtype=np.int64))
+                want = oracle.access_batch(core, blocks)
+                assert got.hits == want["hits"]
+                assert got.misses == want["misses"]
+                for name in (
+                    "fills", "fill_slots", "evictions", "evict_slots", "evict_fill_pos"
+                ):
+                    field = getattr(got, name)
+                    assert field.dtype == np.int64, name
+                    assert field.tolist() == want[name], name
+                seen.update(blocks)
             for block in seen | {max(seen, default=0) + 1}:
                 assert cache.contains(block) == oracle.contains(block)
             assert cache.occupancy_by_core().tolist() == oracle.occupancy_by_core()

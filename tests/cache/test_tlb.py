@@ -63,21 +63,15 @@ class TestPageFaultTracker:
         assert t.touch_pages(np.array([1, 2])) == 0
         assert t.faults == 2
 
-    def test_resident_limit_evicts_lru(self):
-        t = PageFaultTracker(resident_limit=2)
-        t.touch_pages(np.array([1, 2]))
-        t.touch_pages(np.array([1]))
-        t.touch_pages(np.array([3]))  # evicts page 2
-        assert t.touch_pages(np.array([2])) == 1
-
     def test_touch_addresses(self):
         t = PageFaultTracker(page_bytes=4096)
         assert t.touch_addresses(np.array([0, 100, 5000])) == 2
 
     def test_resident_pages(self):
-        t = PageFaultTracker(resident_limit=3)
+        t = PageFaultTracker()
         t.touch_pages(np.array([1, 2, 3, 4]))
-        assert t.resident_pages == 3
+        t.touch_pages(np.array([2, 4]))
+        assert t.resident_pages == 4
 
     def test_reset(self):
         t = PageFaultTracker()
@@ -85,7 +79,3 @@ class TestPageFaultTracker:
         t.reset()
         assert t.faults == 0
         assert t.resident_pages == 0
-
-    def test_invalid_limit(self):
-        with pytest.raises(ValueError):
-            PageFaultTracker(resident_limit=0)

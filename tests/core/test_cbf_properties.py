@@ -1,23 +1,38 @@
-"""Seeded property-based invariants for the Counting Bloom Filter.
+"""Seeded property-based invariants of the signature unit's counting filter.
 
 Randomised inputs, deterministic seeds: each property is checked over a
-fixed set of RNG seeds so a failure is reproducible by construction.
-The three families pin exactly the behaviours the adversarial suite
-leans on: occupancy monotonicity (the footprint signal), the analytical
+fixed set of RNG seeds so a failure is reproducible by construction. The
+properties run against :class:`~repro.core.signature.SignatureUnit`, the
+only counting Bloom filter the simulator has, through its batched fill
+and eviction paths. They pin the behaviours the adversarial suite leans
+on: occupancy monotonicity (the footprint signal), the analytical
 false-positive bound (the alias-rate yardstick the
-:class:`~repro.estimate.gate.EstimateGate` reasons against), and decay
-safety (aging can never corrupt a filter).
+:class:`~repro.estimate.gate.EstimateGate` reasons against), and the
+non-strict underflow clamp.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.adversary import alias_preimages
-from repro.core.cbf import CountingBloomFilter, false_positive_rate
+from repro.core.signature import SignatureConfig, SignatureUnit
 from repro.utils.rng import make_rng
 
 SEEDS = (0, 3, 11, 29)
 ENTRIES = 256
+
+
+def _unit(num_hashes, num_cores=1):
+    # 64 sets x 4 ways: one entry per tracked line, 256 in all.
+    unit = SignatureUnit(
+        SignatureConfig(
+            num_cores=num_cores, num_sets=64, ways=4, num_hashes=num_hashes
+        )
+    )
+    assert unit.num_entries == ENTRIES
+    return unit
 
 
 def _random_blocks(seed, count, span=1 << 40):
@@ -25,15 +40,26 @@ def _random_blocks(seed, count, span=1 << 40):
     return np.unique(rng.integers(0, span, count, dtype=np.int64))
 
 
+def _false_hit_bound(entries, num_hashes, inserted):
+    """The textbook Bloom false-positive rate ``(1 - e^{-kn/m})^k``."""
+    return (1.0 - math.exp(-num_hashes * inserted / entries)) ** num_hashes
+
+
+def _hits(unit, probes):
+    """A probe hits when every counter its hashes select is non-zero."""
+    indices = np.stack([h.hash_many(probes) for h in unit.hashes])
+    return (unit.counters[indices] > 0).all(axis=0)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_occupancy_is_monotone_under_inserts(seed):
-    cbf = CountingBloomFilter(ENTRIES, num_hashes=2)
+    unit = _unit(num_hashes=2, num_cores=2)
     blocks = _random_blocks(seed, 400)
     previous = 0
-    for chunk in np.array_split(blocks, 8):
-        cbf.insert_many(chunk)
-        weight = cbf.occupancy_weight()
-        assert weight >= previous, "inserts can only raise occupancy"
+    for i, chunk in enumerate(np.array_split(blocks, 8)):
+        unit.record_fill_batch(i % 2, chunk)
+        weight = unit.total_occupancy()
+        assert weight >= previous, "fills can only raise occupancy"
         assert weight <= ENTRIES
         previous = weight
     assert previous > 0
@@ -41,10 +67,10 @@ def test_occupancy_is_monotone_under_inserts(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_occupancy_bounded_by_distinct_inserts_times_hashes(seed):
-    cbf = CountingBloomFilter(ENTRIES, num_hashes=2)
+    unit = _unit(num_hashes=2)
     blocks = _random_blocks(seed, 60)
-    cbf.insert_many(blocks)
-    assert cbf.occupancy_weight() <= len(blocks) * cbf.num_hashes
+    unit.record_fill_batch(0, blocks)
+    assert unit.total_occupancy() <= len(blocks) * unit.config.num_hashes
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -57,64 +83,31 @@ def test_empirical_alias_rate_tracks_analytical_bound(seed):
     the adversarial preimage family (next test) pegs the rate at 1.
     """
     inserted = _random_blocks(seed, 120)
-    cbf = CountingBloomFilter(ENTRIES, num_hashes=1)
-    cbf.insert_many(inserted)
+    unit = _unit(num_hashes=1)
+    unit.record_fill_batch(0, inserted)
     probes = _random_blocks(seed + 1000, 3000)
     probes = np.setdiff1d(probes, inserted)
-    hits = sum(cbf.query(int(block)) for block in probes)
-    empirical = hits / len(probes)
-    analytical = false_positive_rate(ENTRIES, 1, len(inserted))
+    empirical = _hits(unit, probes).mean()
+    analytical = _false_hit_bound(ENTRIES, 1, len(inserted))
     assert abs(empirical - analytical) < 0.08, (
         f"empirical {empirical:.3f} strays from analytical {analytical:.3f}"
     )
 
 
 def test_aliased_stream_pegs_false_hit_rate_at_one():
-    # One inserted preimage makes every OTHER preimage of the same index
+    # One filled preimage makes every OTHER preimage of the same index
     # a guaranteed false hit — the adversarial ceiling the analytical
     # formula (~0.004 for n=1, m=256) is nowhere near.
     family = alias_preimages(ENTRIES, target_index=7, count=64)
-    cbf = CountingBloomFilter(ENTRIES, num_hashes=1)
-    cbf.insert(int(family[0]))
-    rest = family[1:]
-    assert all(cbf.query(int(block)) for block in rest)
-    assert false_positive_rate(ENTRIES, 1, 1) < 0.01
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_decay_never_underflows_and_is_monotone(seed):
-    cbf = CountingBloomFilter(ENTRIES, num_hashes=2, counter_bits=3)
-    rng = make_rng(seed)
-    live = []
-    for _ in range(300):
-        op = rng.integers(0, 4)
-        if op <= 1 or not live:
-            block = int(rng.integers(0, 1 << 40))
-            cbf.insert(block)
-            live.append(block)
-        elif op == 2:
-            cbf.delete(live.pop(int(rng.integers(len(live)))))
-        else:
-            before = cbf.counters.copy()
-            cbf.decay()
-            assert np.all(cbf.counters >= 0)
-            assert np.all(cbf.counters <= before)
-        assert np.all(cbf.counters >= 0)
-        assert np.all(cbf.counters <= cbf.counter_max)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_repeated_decay_reaches_empty(seed):
-    cbf = CountingBloomFilter(ENTRIES, num_hashes=1, counter_bits=3)
-    cbf.insert_many(_random_blocks(seed, 200))
-    for _ in range(cbf.counter_bits):
-        cbf.decay()
-    assert cbf.occupancy_weight() == 0
-    assert np.all(cbf.counters == 0)
+    unit = _unit(num_hashes=1)
+    unit.record_fill_batch(0, family[:1])
+    assert _hits(unit, family[1:]).all()
+    assert _false_hit_bound(ENTRIES, 1, 1) < 0.01
 
 
 def test_nonstrict_delete_clamps_and_counts_underflow():
-    cbf = CountingBloomFilter(ENTRIES, num_hashes=1)
-    cbf.delete(42)
-    assert cbf.underflow_events == 1
-    assert np.all(cbf.counters == 0)
+    unit = _unit(num_hashes=1)
+    unit.record_eviction_batch(np.asarray([42]))
+    assert unit.stats.underflow_events == 1
+    assert np.all(unit.counters == 0)
+    assert unit.core_occupancy(0) == 0

@@ -1,4 +1,4 @@
-"""Batched ``SignatureUnit.record_events`` against a naive per-event model.
+"""``SignatureUnit.record_events`` against a naive per-event model.
 
 The reference below is plain Python: a list of counters, one ``set`` per
 Core Filter and Last Filter, and its own XOR fold of the block address.
@@ -6,8 +6,12 @@ It applies the documented batch semantics one event at a time — every
 fill (increment, clamp at ``counter_max``, set the filling core's bit),
 then every eviction (decrement, clamp at 0, clear the bit in every core
 when the counter is zero) — and the context-switch sample
-``RBV = CF & ~LF``. Small filters, 1- to 3-bit counters and block pools
-of a few addresses make batches saturate and underflow.
+``RBV = CF & ~LF``. An address whose hash indices coincide moves its
+counter once. Small filters, 1- to 3-bit counters and block pools of a
+few addresses make batches saturate and underflow.
+
+Two paths are checked: the vectorised batches the simulator runs, and
+the ``exact=True`` scalar path fed one event per call.
 """
 
 import dataclasses
@@ -145,10 +149,86 @@ def test_batches_match_the_per_event_model(
         unit.record_events(core, fills, None, evictions, None)
         ref.record(core, fills, evictions)
         for switched in switches:
-            sample = unit.on_context_switch(switched)
-            expected = ref.context_switch(switched)
-            assert (sample.occupancy, list(sample.symbiosis)) == expected
-        assert unit.counters.tolist() == ref.counters
-        assert [_bits(cf) for cf in unit.core_filters] == ref.cf
-        assert [_bits(lf) for lf in unit.last_filters] == ref.lf
-        assert dataclasses.asdict(unit.stats) == ref.stats
+            _assert_same_sample(unit, ref, switched)
+        _assert_same_state(unit, ref)
+
+
+@st.composite
+def event_streams(draw):
+    """Single fill, eviction and context-switch events on 1-3 cores."""
+    cores = draw(st.integers(1, 3))
+    pool = draw(
+        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8, unique=True)
+    )
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["fill", "evict", "switch"]),
+                st.integers(0, cores - 1),
+                st.sampled_from(pool),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    return cores, events
+
+
+@given(
+    stream=event_streams(),
+    counter_bits=st.integers(1, 3),
+    num_hashes=st.integers(1, 2),
+    num_sets=st.sampled_from([4, 8]),
+)
+@example(
+    # Both hashes of block 13 fold to entry 4 of 8: each fill and each
+    # eviction moves that counter once, so one saturation, one underflow.
+    stream=(1, [("fill", 0, 13)] * 2 + [("evict", 0, 13)] * 2 + [("switch", 0, 13)]),
+    counter_bits=1,
+    num_hashes=2,
+    num_sets=4,
+)
+@example(
+    # Both cores fill block 5; its second eviction zeroes the counter and
+    # clears the entry in both Core Filters.
+    stream=(2, [("fill", 1, 5), ("fill", 0, 5), ("switch", 1, 5), ("evict", 0, 5),
+                ("fill", 0, 9), ("switch", 0, 9), ("evict", 1, 5)]),
+    counter_bits=2,
+    num_hashes=1,
+    num_sets=4,
+)
+@settings(max_examples=80, deadline=None)
+def test_exact_path_matches_the_per_event_model(
+    stream, counter_bits, num_hashes, num_sets
+):
+    cores, events = stream
+    config = SignatureConfig(
+        num_cores=cores,
+        num_sets=num_sets,
+        ways=2,
+        counter_bits=counter_bits,
+        num_hashes=num_hashes,
+        exact=True,
+    )
+    unit = SignatureUnit(config)
+    ref = NaiveUnit(cores, unit.num_entries, counter_bits, num_hashes)
+    for kind, core, block in events:
+        if kind == "switch":
+            _assert_same_sample(unit, ref, core)
+        else:
+            fills, evictions = ([block], []) if kind == "fill" else ([], [block])
+            unit.record_events(core, fills, None, evictions, None)
+            ref.record(core, fills, evictions)
+        _assert_same_state(unit, ref)
+
+
+def _assert_same_sample(unit, ref, core):
+    sample = unit.on_context_switch(core)
+    assert (sample.occupancy, list(sample.symbiosis)) == ref.context_switch(core)
+
+
+def _assert_same_state(unit, ref):
+    assert unit.counters.tolist() == ref.counters
+    assert [_bits(cf) for cf in unit.core_filters] == ref.cf
+    assert [_bits(lf) for lf in unit.last_filters] == ref.lf
+    assert dataclasses.asdict(unit.stats) == ref.stats

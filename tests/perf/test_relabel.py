@@ -95,7 +95,7 @@ def pinned(machine, names, tids, mapping, seed, instructions=20_000,
            batch_accesses=64):
     tasks = labelled_tasks(names, tids, instructions, seed)
     result = run_mix(machine, tasks, mapping=relabel(mapping, tids),
-                     seed=seed, batch_accesses=batch_accesses)
+                     batch_accesses=batch_accesses)
     return per_task(result, tids)
 
 
@@ -107,7 +107,7 @@ def monitored(machine, names, tids, policy_cls, seed):
                                signature_capacity=sig.num_entries)
     tasks = labelled_tasks(names, tids, 20_000, seed)
     result = run_mix(
-        machine, tasks, monitor=monitor, signature_config=sig, seed=seed,
+        machine, tasks, monitor=monitor, signature_config=sig,
         batch_accesses=64,
         scheduler_config=SchedulerConfig(num_cores=machine.num_cores,
                                          timeslice_cycles=50_000.0,

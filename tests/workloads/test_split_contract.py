@@ -281,7 +281,6 @@ def _simulate(tasks, batch):
         signature_config=SignatureConfig(num_cores=2, num_sets=64, ways=4),
         scheduler_config=SchedulerConfig(num_cores=2, timeslice_cycles=40_000.0),
         batch_accesses=batch,
-        seed=5,
     )
     result = sim.run(min_wall_cycles=2e6)
     return repr(result), sim.caches[0].stats.total_accesses
