@@ -104,7 +104,6 @@ def run_breaker(tmp: str) -> None:
         WorkloadSpec(kind="spec", names=("mcf", "povray"),
                      instructions=100_000),
         mapping=[[0], [1]],
-        seed=0,
     )
     # Two failing waves trip the circuit (and write the quarantine
     # entry); the third wave is blocked without occupying a worker.

@@ -1,150 +1,34 @@
 #!/usr/bin/env python
-"""CI gate for the invariant linter (docs/static-analysis.md).
+"""CI and pre-commit gate for the invariant linter (docs/static-analysis.md).
 
-Runs ``repro.lint`` over the whole tree — ``src``, ``tests``,
-``scripts``, ``benchmarks``, ``examples`` — with the committed baseline
-applied, and verdicts via the shared :mod:`_ci_util` protocol. Also the
-pre-commit entry: when file arguments are passed (pre-commit passes the
-changed files), only those are linted, so hooks stay fast.
+This is ``repro-cli lint --baseline`` run from the repository root: the
+per-file rules and the whole-program flow passes over ``src``,
+``tests``, ``scripts``, ``benchmarks`` and ``examples`` (or over the
+files given, as pre-commit passes them), filtered through the committed
+baseline. The report ends with the ``OK:``/``FAIL:`` verdict line of
+the shared :mod:`_ci_util` protocol, and every ``repro-cli lint``
+option passes through (``--format json``, ``--callgraph-out FILE``).
 
-``--flow`` adds the whole-program RPR6xx passes over the same parse;
-``--callgraph-out FILE`` and ``--flow-report FILE`` write the CI
-artefacts (versioned call-graph JSON, flow stats + findings JSON). Flow
-analysis is whole-program by construction, so explicit file arguments
-and ``--flow`` are mutually exclusive — pre-commit stays per-file fast.
-
-Run from the repo root: ``python scripts/run_lint.py [files...]``.
+Run it as ``python scripts/run_lint.py [files...] [options]``; file
+arguments are relative to the repository root.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import sys
-from pathlib import Path
-from typing import List, Optional, Sequence
 
-from _ci_util import (
-    EXIT_USAGE,
-    ensure_repo_on_path,
-    fail,
-    gate_main,
-    ok,
-    repo_root,
-)
+from _ci_util import ensure_repo_on_path, gate_main, repo_root
 
 ensure_repo_on_path()
 
-from repro.errors import ConfigurationError  # noqa: E402
-from repro.lint import Baseline, lint_paths  # noqa: E402
-from repro.lint.baseline import DEFAULT_BASELINE_NAME  # noqa: E402
-from repro.lint.engine import load_modules  # noqa: E402
-
-#: Directories linted when no explicit files are passed.
-DEFAULT_TREES = ("src", "tests", "scripts", "benchmarks", "examples")
+from repro.lint.cli import main as lint_main  # noqa: E402
 
 
-def _pop_flag(args: List[str], name: str) -> bool:
-    if name in args:
-        args.remove(name)
-        return True
-    return False
-
-
-def _pop_option(args: List[str], name: str) -> Optional[str]:
-    if name not in args:
-        return None
-    index = args.index(name)
-    if index + 1 >= len(args):
-        raise ConfigurationError(f"{name} requires a file argument")
-    value = args[index + 1]
-    del args[index:index + 2]
-    return value
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Lint the tree (or the given files); verdict per _ci_util."""
-    args = list(sys.argv[1:] if argv is None else argv)
-    root = repo_root()
-    try:
-        flow = _pop_flag(args, "--flow")
-        callgraph_out = _pop_option(args, "--callgraph-out")
-        flow_report = _pop_option(args, "--flow-report")
-        flow = flow or bool(callgraph_out or flow_report)
-        if flow and args:
-            raise ConfigurationError(
-                "--flow analyses the whole program; it cannot be combined "
-                "with explicit file arguments"
-            )
-        if args:
-            paths: List[str] = args
-        else:
-            paths = [str(root / tree) for tree in DEFAULT_TREES
-                     if (root / tree).exists()]
-        modules = load_modules(paths, root=root)
-        result = lint_paths(paths, root=root, modules=modules)
-        baseline = Baseline.load(root / DEFAULT_BASELINE_NAME)
-    except ConfigurationError as exc:
-        print(f"error: {exc}")
-        return EXIT_USAGE
-    fresh, baselined = baseline.split(result.violations)
-    flow_line = ""
-    if flow:
-        from repro.flow import Program, analyze, run_flow
-        from repro.flow.export import callgraph_json
-
-        program = Program(modules)
-        analysis = analyze(program)
-        flow_result = run_flow(program, analysis=analysis)
-        # Flow findings never baseline: they are fresh by definition.
-        fresh = sorted(fresh + flow_result.violations)
-        stats = flow_result.stats
-        flow_line = (
-            f"flow: {stats['modules']} modules, "
-            f"{stats['functions']} functions, "
-            f"{stats['call_edges']} call edges, "
-            f"{stats['unresolved_calls']} unresolved calls, "
-            f"{stats['findings']} finding(s)"
-        )
-        print(flow_line)
-        if callgraph_out:
-            Path(callgraph_out).write_text(
-                callgraph_json(analysis), encoding="utf-8"
-            )
-        if flow_report:
-            report = {
-                "stats": stats,
-                "findings": [
-                    {
-                        "path": v.path,
-                        "line": v.line,
-                        "code": v.code,
-                        "message": v.message,
-                    }
-                    for v in flow_result.violations
-                ],
-            }
-            Path(flow_report).write_text(
-                json.dumps(report, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-    for violation in fresh:
-        print(violation.format())
-    if fresh:
-        tally: dict = {}
-        for violation in fresh:
-            tally[violation.code] = tally.get(violation.code, 0) + 1
-        summary = ", ".join(f"{c}={n}" for c, n in sorted(tally.items()))
-        return fail(
-            f"{len(fresh)} lint violation(s) in {result.files_scanned} "
-            f"file(s) [{summary}]; fix them, add a justified "
-            "'# repro: noqa[CODE]', or (non-RPR1xx only) re-baseline with "
-            "'repro-cli lint --update-baseline'"
-        )
-    return ok(
-        f"lint clean over {result.files_scanned} file(s)"
-        + (f", {len(baselined)} baselined violation(s)" if baselined else "")
-        + (f"; {flow_line}" if flow_line else "")
-    )
+def main() -> int:
+    """Lint from the repository root with the committed baseline."""
+    os.chdir(repo_root())
+    return lint_main(["--baseline", *sys.argv[1:]])
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import socket
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from _ci_util import ensure_repo_on_path, fail, gate_main, ok, repo_root
 

@@ -16,12 +16,11 @@ Subcommands
     Regenerate a quick paper figure (1, 2/5, or table1) at reduced scale.
 ``lint``
     Run the AST-based invariant linter (:mod:`repro.lint`) over the
-    tree: determinism, durability, worker-safety and telemetry-hygiene
-    rules, with ``# repro: noqa[CODE]`` suppressions and a committed
-    baseline — see ``docs/static-analysis.md``. With ``--flow``, the
-    whole-program RPR6xx passes (:mod:`repro.flow`) run over the same
-    parse: call-graph construction plus interprocedural determinism,
-    async-safety, and durability checks, with JSON/DOT graph export.
+    tree: the per-file rules and the whole-program RPR6xx passes
+    (:mod:`repro.flow`: determinism, async-safety, fsync-before-rename,
+    await races) over one parse, with ``# repro: noqa[CODE]``
+    suppressions, a committed baseline and JSON/DOT call-graph export —
+    see ``docs/static-analysis.md``.
 ``serve``
     Run the online scheduling daemon (:mod:`repro.service`): admits and
     retires processes dynamically over a newline-JSON TCP protocol and
@@ -73,7 +72,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.adversary import (
     ADVERSARY_KINDS,

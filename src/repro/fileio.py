@@ -161,9 +161,9 @@ def move_aside(path: Path) -> Optional[Path]:
         target = path.with_name(f"{path.name}.corrupt.{counter}")
     try:
         # The file is already corrupt: losing this rename in a crash
-        # costs nothing, so the fsync-then-replace publish (RPR201) is
+        # costs nothing, so the fsync-then-replace publish (RPR603) is
         # owed only to data still trusted.
-        os.replace(path, target)  # repro: noqa[RPR201]
+        os.replace(path, target)  # repro: noqa[RPR603]
     except OSError:
         return None
     return target

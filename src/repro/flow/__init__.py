@@ -1,22 +1,23 @@
 """repro.flow — whole-program call-graph and dataflow analysis.
 
-The per-file linter (:mod:`repro.lint`) checks one module at a time;
-this package parses the tree once (sharing the same
-:class:`~repro.lint.engine.LoadedModule` objects), resolves imports
-into a project symbol table, builds a call graph — method calls
-resolved through the class hierarchy, ``asyncio`` task and executor
-dispatches tracked as their own edge kinds — and runs interprocedural
-passes (the RPR6xx rule family) over it:
+Every lint run (:mod:`repro.lint`) includes this analysis: it shares
+the run's parse (the same :class:`~repro.lint.engine.LoadedModule`
+objects), resolves imports into a project symbol table, builds a call
+graph — method calls resolved through the class hierarchy, ``asyncio``
+task and executor dispatches tracked as their own edge kinds — and runs
+the RPR6xx passes over it. Each pass is the one rule for its invariant
+and reports the offending call in a function's own body (depth 0) as
+well as the chains of calls that reach one:
 
-* RPR601 — sim-core call paths reaching nondeterminism sources
-* RPR602 — service coroutines reaching blocking calls through helpers
-* RPR603 — durable-state renames with no fsync ordered before them
+* RPR601 — sim-core code reaching a clock, OS entropy or an unseeded RNG
+* RPR602 — service coroutines reaching blocking calls
+* RPR603 — renames with no fsync ordered before them
 * RPR604 — service state mutated on both sides of an ``await``
 
-Entry points: ``repro-cli lint --flow`` (combined with the per-file
-rules, one parse), :func:`~repro.flow.engine.run_flow`
-programmatically, and the exporters in :mod:`repro.flow.export` for the
-call-graph JSON/DOT artifacts CI uploads.
+Entry points: ``repro-cli lint`` (with the per-file rules, one parse),
+:func:`~repro.flow.engine.run_flow` programmatically, and the exporters
+in :mod:`repro.flow.export` for the call-graph JSON/DOT artifacts CI
+uploads.
 """
 
 from repro.flow.engine import FlowAnalysis, FlowResult, analyze, run_flow

@@ -1,9 +1,8 @@
 """Project call graph: who calls whom, and how.
 
 The builder walks every project function body **in source order**
-(skipping nested ``def``/``class`` bodies — those are their own
-analysis scopes, mirroring the per-file rules) and resolves each call
-expression to one of:
+(skipping nested ``def`` bodies — those are their own analysis scopes)
+and resolves each call expression to one of:
 
 * a **project edge** — caller → callee qname, with a *kind*:
   ``call`` (plain synchronous/awaited invocation), ``task``
@@ -14,8 +13,9 @@ expression to one of:
 * an **external call** — a dotted name resolved outside the project
   (``time.time``, ``os.fsync``, ``json.dumps``). The subset the flow
   rules care about is categorised into *primitive calls*: ``clock``,
-  ``entropy``, ``rng`` (mirroring RPR102's seeded/unseeded logic),
-  and ``blocking`` (RPR501's list);
+  ``entropy`` and ``rng`` (RPR601's sources; a seeded RNG constructor
+  is not one) and ``blocking`` (RPR602's). The tables below are the
+  only copy of these lists;
 * an **unresolved call** — a genuinely dynamic target (method on a
   local variable, call through a callable parameter). These are
   recorded, counted, and exported — never silently dropped — because
@@ -37,15 +37,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.flow.symbols import FunctionInfo, SymbolTable
-from repro.lint.rules.determinism import (
-    CLOCK_CALLS,
-    ENTROPY_CALLS,
-    _NUMPY_SEEDABLE,
-    _is_unseeded,
-)
-from repro.lint.rules.service_async import BLOCKING_CALLS
 
 __all__ = [
+    "BLOCKING_CALLS",
+    "CLOCK_CALLS",
+    "ENTROPY_CALLS",
     "KIND_CALL",
     "KIND_TASK",
     "KIND_EXECUTOR",
@@ -68,6 +64,71 @@ KIND_EXECUTOR = "executor"
 _TASK_SPAWNERS = ("asyncio.create_task", "asyncio.ensure_future",
                   "asyncio.run")
 _THREAD_SPAWNERS = ("asyncio.to_thread",)
+
+#: Dotted call targets that read a clock.
+CLOCK_CALLS: Tuple[str, ...] = (
+    "time.time",
+    "time.time_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "time.clock_gettime",
+    "time.clock_gettime_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+)
+
+#: Dotted call targets that read OS entropy or host-unique state.
+ENTROPY_CALLS: Tuple[str, ...] = (
+    "os.urandom",
+    "os.getrandom",
+    "secrets.token_bytes",
+    "secrets.token_hex",
+    "secrets.token_urlsafe",
+    "secrets.randbits",
+    "secrets.randbelow",
+    "secrets.choice",
+    "uuid.uuid1",
+    "uuid.uuid4",
+)
+
+#: ``numpy.random`` constructors that are fine *when seeded*.
+_NUMPY_SEEDABLE: Tuple[str, ...] = (
+    "default_rng",
+    "Generator",
+    "SeedSequence",
+    "RandomState",
+    "PCG64",
+    "PCG64DXSM",
+    "Philox",
+    "MT19937",
+    "SFC64",
+)
+
+#: Dotted call targets that block the event loop.
+BLOCKING_CALLS: Tuple[str, ...] = (
+    "time.sleep",
+    "open",
+    "io.open",
+    "os.system",
+    "os.popen",
+    "os.waitpid",
+    "subprocess.run",
+    "subprocess.call",
+    "subprocess.check_call",
+    "subprocess.check_output",
+    "subprocess.Popen",
+    "socket.create_connection",
+    "urllib.request.urlopen",
+    "requests.get",
+    "requests.post",
+    "requests.request",
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -120,13 +181,18 @@ class Resolution:
 def iter_body_calls(node: ast.AST) -> Iterator[ast.Call]:
     """Call expressions executed directly by *node*'s body, in order.
 
-    Nested ``def``/``async def``/``class`` bodies are skipped — each is
-    its own analysis scope (its calls belong to *its* graph node).
+    Nested ``def``/``async def`` bodies are skipped — each is its own
+    analysis scope (its calls belong to *its* graph node) — but their
+    decorators and defaults run here, as does a nested class body.
     """
     for child in ast.iter_child_nodes(node):
-        if isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for expr in (*child.decorator_list, *child.args.defaults,
+                         *child.args.kw_defaults):
+                if expr is not None:
+                    if isinstance(expr, ast.Call):
+                        yield expr
+                    yield from iter_body_calls(expr)
             continue
         if isinstance(child, ast.Call):
             yield child
@@ -146,8 +212,25 @@ def _display(expr: ast.expr) -> str:
     return f"<{type(expr).__name__}>"
 
 
+def _is_unseeded(node: ast.Call) -> bool:
+    """No arguments, or an explicit literal ``None`` seed."""
+    if not node.args and not node.keywords:
+        return True
+    if node.args:
+        first = node.args[0]
+        return isinstance(first, ast.Constant) and first.value is None
+    for keyword in node.keywords:
+        if keyword.arg == "seed" and isinstance(keyword.value, ast.Constant):
+            return keyword.value.value is None
+    return False
+
+
 def _primitive_categories(dotted: str, call: ast.Call) -> List[str]:
-    """Flow-rule categories of an external call (possibly several)."""
+    """Flow-rule categories of an external call (possibly several).
+
+    Global-state ``random``/``numpy.random`` APIs, ``SystemRandom`` and
+    seedable constructors called without a seed are ``rng``.
+    """
     categories: List[str] = []
     if dotted in CLOCK_CALLS:
         categories.append("clock")
@@ -375,6 +458,8 @@ class GraphBuilder:
                     external.append(
                         ExternalCall(qname, resolution.target, lineno)
                     )
+                    if resolution.spawn != KIND_CALL:
+                        continue  # dispatched, not called here
                     for category in _primitive_categories(
                         resolution.target, call
                     ):

@@ -8,7 +8,7 @@ rule (or a selected subset) over it and returns the surviving, sorted
 violations plus the run's statistics.
 
 Suppression filtering happens twice, deliberately: passes consult
-:meth:`FlowAnalysis.covers` at *source sites* (a ``noqa[RPR101]`` on a
+:meth:`FlowAnalysis.covers` at *source sites* (a ``noqa[RPR601]`` on a
 clock read also de-taints every interprocedural path seeded by it), and
 the engine filters final findings at their *report sites* — so both the
 cause and the boundary edge can be waived independently.

@@ -3,14 +3,15 @@
 A :class:`Program` wraps the :class:`~repro.lint.engine.LoadedModule`
 list produced by :func:`~repro.lint.engine.load_modules` (parse-once:
 the same parsed ASTs feed the per-file rules and the flow passes) and
-indexes the subset that belongs to the project package tree — modules
-with a dotted name derived from their ``src/`` layout path, or assigned
-explicitly by tests via :meth:`Program.from_sources`.
+indexes every file that parses by a dotted name: the one derived from
+its ``src/`` layout path, or assigned explicitly by tests via
+:meth:`Program.from_sources`.
 
-Files without a dotted module name (tests, scripts, benchmarks) still
-ride along for per-file linting but contribute no symbols: the
-whole-program analysis is about the shipped package tree, whose
-functions are the only ones reachable from more than one place.
+Files outside a ``src/`` tree (tests, scripts, benchmarks) are named
+after their path (``scripts/run_lint.py`` is ``scripts.run_lint``).
+They join the analysis, so the depth-0 checks that apply to every file
+see them, but their context keeps no package, so no package-scoped
+pass treats them as part of the shipped tree.
 """
 
 from __future__ import annotations
@@ -30,6 +31,14 @@ from repro.lint.suppress import SuppressionIndex
 __all__ = ["Program", "load_program"]
 
 
+def _path_name(display: str) -> str:
+    """Dotted name of a file outside any package: its path, dotted."""
+    parts = [p for p in Path(display).with_suffix("").parts if p != "/"]
+    if parts and parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
 class Program:
     """All loaded modules of one run, with the project subset indexed."""
 
@@ -37,22 +46,23 @@ class Program:
         self.modules: List[LoadedModule] = sorted(
             modules, key=lambda m: m.display
         )
-        #: Dotted module name -> loaded module, for files that parse and
-        #: carry a package identity. Later duplicates (the same dotted
-        #: name loaded twice) are rejected deterministically: first
-        #: display path wins, which keeps re-runs byte-identical.
+        #: Dotted module name -> loaded module, for files that parse.
+        #: Later duplicates (the same dotted name loaded twice) are
+        #: rejected deterministically: first display path wins, which
+        #: keeps re-runs byte-identical.
         self.by_module: Dict[str, LoadedModule] = {}
         #: Display path -> loaded module, for suppression lookup.
         self.by_path: Dict[str, LoadedModule] = {}
         for module in self.modules:
             self.by_path.setdefault(module.display, module)
             context = module.context
-            if context is not None and context.module is not None:
-                self.by_module.setdefault(context.module, module)
+            if context is not None:
+                name = context.module or _path_name(module.display)
+                self.by_module.setdefault(name, module)
 
     @property
     def contexts(self) -> Dict[str, ModuleContext]:
-        """Dotted module name -> parsed context (project modules only)."""
+        """Dotted module name -> parsed context (every parsed file)."""
         result: Dict[str, ModuleContext] = {}
         for name, module in self.by_module.items():
             assert module.context is not None

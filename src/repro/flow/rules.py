@@ -1,24 +1,28 @@
 """RPR6xx — whole-program dataflow rules.
 
-Each rule here follows an invariant *across* function and module
-boundaries using the call graph, which is exactly what the per-file
-RPR1xx/RPR5xx rules cannot do:
+Each rule here is the one rule for its invariant. It reports the
+offending call in a function's own body (depth 0) and follows the
+invariant *across* function and module boundaries using the call graph:
 
-* **RPR601** — interprocedural determinism taint. A sim-core function
-  that calls a helper *outside* the core packages which (transitively)
-  reads a clock, OS entropy, or an unseeded RNG has the same
-  reproducibility bug RPR101–103 ban, laundered through one call hop.
+* **RPR601** — determinism. Every clock read, OS-entropy read or
+  unseeded RNG draw in a sim-core function (its own body, or the code a
+  sim-core module runs at import) is flagged at its line. A sim-core
+  function that calls a helper *outside* the core packages which
+  (transitively) reaches such a source is flagged at the boundary edge.
   Also flags iteration over ``set`` literals/constructors in sim-core
   functions that produce output — unordered iteration order escaping
   into results is PYTHONHASHSEED-dependent.
-* **RPR602** — transitive async-blocking. RPR501 bans ``time.sleep``
-  lexically inside ``async def``; this pass bans it at *any* depth
-  through a chain of synchronous helpers called (not dispatched to an
-  executor) from a service coroutine.
-* **RPR603** — cross-function fsync-before-rename. RPR502 checks one
-  function at a time; this pass inlines the callee event streams so a
-  durable-scope function that delegates its publish to a helper in a
-  *non*-durable module still needs an ``os.fsync`` ordered before it.
+* **RPR602** — async-blocking. Every blocking call in a service
+  coroutine's own body is flagged, and so is a call from the coroutine
+  into a chain of synchronous helpers (not dispatched to an executor)
+  that reaches one at any depth. A nested ``def`` is its own scope.
+* **RPR603** — fsync-before-rename. A rename with no ``os.fsync``
+  earlier in its own function is flagged: ``os.replace`` in every
+  linted file, and ``os.rename``, ``shutil.move`` and one-argument
+  ``.rename``/``.replace`` in the durable-state packages. The pass also
+  inlines callee event streams, so a durable-scope function that
+  delegates its publish to a helper in a *non*-durable module still
+  needs an ``os.fsync`` ordered before it.
 * **RPR604** — await-interleaving race. Async methods of service
   classes that mutate shared instance state on *both sides* of an
   ``await`` can interleave with a concurrent handler between the
@@ -66,15 +70,18 @@ SINGLE_WRITER_SEAMS: Tuple[str, ...] = ("_handle",)
 #: outright; this bounds pathological deep chains).
 _INLINE_DEPTH = 12
 
-#: Per-file code waiving a flow source site, by primitive category: a
-#: ``noqa`` that already waives the lexical rule at the source line also
-#: waives the interprocedural findings seeded by that line.
+#: The code waiving a source site, by primitive category: a ``noqa``
+#: that waives the depth-0 finding at the source line also waives the
+#: chains seeded by that line.
 _SOURCE_WAIVERS = {
-    "clock": ("RPR101", "RPR601"),
-    "rng": ("RPR102", "RPR601"),
-    "entropy": ("RPR103", "RPR601"),
-    "blocking": ("RPR501", "RPR602"),
+    "clock": "RPR601",
+    "rng": "RPR601",
+    "entropy": "RPR601",
+    "blocking": "RPR602",
 }
+
+#: Primitive categories that break determinism (RPR601's sources).
+_NONDETERMINISTIC = ("clock", "entropy", "rng")
 
 
 def _violation(
@@ -97,10 +104,9 @@ def _source_waived(
     """Whether the primitive's own site carries a waiving ``noqa``."""
     fn = analysis.symtab.functions[primitive.caller]
     path = analysis.symtab.contexts[fn.module].path
-    return any(
-        analysis.covers(path, code, primitive.lineno)
-        for code in _SOURCE_WAIVERS.get(primitive.category, ())
-    )
+    return bool(analysis.covers(
+        path, _SOURCE_WAIVERS[primitive.category], primitive.lineno
+    ))
 
 
 def _site(analysis: Any, primitive: PrimitiveCall) -> str:
@@ -167,7 +173,7 @@ def _render_path(
 
 
 # ---------------------------------------------------------------------
-# RPR601 — interprocedural determinism taint
+# RPR601 — determinism
 # ---------------------------------------------------------------------
 
 
@@ -221,41 +227,55 @@ def _set_iteration_lines(analysis: Any, fn: FunctionInfo) -> List[int]:
 
 @register_flow(
     "RPR601",
-    "interprocedural-determinism-taint",
-    "sim-core call path reaches a nondeterminism source outside the core",
+    "nondeterminism-in-sim-core",
+    "sim-core code reads a clock, OS entropy or an unseeded RNG, "
+    "directly or through a helper outside the core",
     scope=SCOPE_SIM_CORE,
     rationale=(
-        "RPR101-103 see one file at a time, so a wall-clock read or "
-        "unseeded RNG draw moved into a helper module outside the core "
-        "packages silently re-enters the simulation through an innocent-"
-        "looking call. The taint pass follows every call chain from "
-        "sim-core functions and flags the boundary edge where core code "
-        "first calls into a tainted non-core helper. Unordered set "
-        "iteration feeding a function's output is flagged for the same "
-        "reason: iteration order depends on PYTHONHASHSEED. Like RPR1xx, "
-        "findings can never be baselined — fix or noqa with justification."
+        "Simulated time is cycle-driven and every stochastic component "
+        "draws from an explicitly seeded generator (repro.utils.rng), so "
+        "a real clock read, a global-state or unseeded RNG, or OS entropy "
+        "that leaks into results breaks bit-reproducibility across runs "
+        "and machines. Each such call in a sim-core function (or in code a "
+        "sim-core module runs at import) is flagged at its line; a read "
+        "moved into a helper module outside the core is flagged at the "
+        "boundary edge where core code first calls into the tainted "
+        "helper. Unordered set iteration feeding a function's output is "
+        "flagged for the same reason: iteration order depends on "
+        "PYTHONHASHSEED. Wall-clock stays legal in repro.jobs and "
+        "repro.telemetry by package scope. Findings can never be "
+        "baselined — fix or noqa with justification."
     ),
 )
 def check_determinism_taint(analysis: Any) -> Iterator[Violation]:
-    """Flag sim-core → tainted-non-core boundary edges (+ set iteration)."""
+    """Flag core nondeterminism sources, boundary edges, set iteration."""
     symtab = analysis.symtab
-    direct: Dict[str, PrimitiveCall] = {}
-    for qname in sorted(analysis.graph.primitives_by_caller):
-        for primitive in analysis.graph.primitives_by_caller[qname]:
-            if primitive.category not in ("clock", "entropy", "rng"):
-                continue
-            if _source_waived(analysis, primitive):
-                continue
-            direct.setdefault(qname, primitive)
-            break
-    reach, hop = _reverse_reach(analysis, direct)
 
     def is_core(qname: str) -> bool:
         fn = symtab.functions.get(qname)
         if fn is None:
             return False
-        return symtab.contexts[fn.module].is_sim_core
+        return bool(symtab.contexts[fn.module].is_sim_core)
 
+    direct: Dict[str, PrimitiveCall] = {}
+    for qname in sorted(analysis.graph.primitives_by_caller):
+        for primitive in analysis.graph.primitives_by_caller[qname]:
+            if primitive.category not in _NONDETERMINISTIC:
+                continue
+            if _source_waived(analysis, primitive):
+                continue
+            direct.setdefault(qname, primitive)
+            if is_core(qname):
+                yield _violation(
+                    analysis, symtab.functions[qname], primitive.lineno,
+                    "RPR601",
+                    f"{primitive.target}() [{primitive.category}] in "
+                    f"sim-core {qname}; results must be a pure function "
+                    "of the seed (derive time from simulated cycles, draw "
+                    "from a seeded generator, or waive a telemetry-only "
+                    "read per line)",
+                )
+    reach, hop = _reverse_reach(analysis, direct)
     flagged: Set[Tuple[str, str]] = set()
     for qname in sorted(symtab.functions):
         if not is_core(qname):
@@ -296,43 +316,55 @@ def check_determinism_taint(analysis: Any) -> Iterator[Violation]:
 
 @register_flow(
     "RPR602",
-    "transitive-blocking-in-async",
-    "service coroutine reaches a blocking call through sync helpers",
+    "blocking-in-async",
+    "service coroutine blocks the event loop, directly or through sync "
+    "helpers",
     scope=SCOPE_SERVICE,
     rationale=(
-        "RPR501 bans blocking calls lexically inside async def; wrapping "
-        "the same time.sleep in a synchronous helper defeats it while "
-        "stalling the event loop just as thoroughly. This pass follows "
-        "plain (non-executor, non-task) call chains from every service "
-        "coroutine into synchronous project helpers and flags the first "
-        "hop whose subtree reaches a blocking primitive. Executor and "
-        "task dispatches are exempt — that is the sanctioned pattern."
+        "The daemon is one event loop: a time.sleep or synchronous file/"
+        "process/network call inside a coroutine stalls every connection "
+        "and suppresses heartbeat ticks, making a loaded daemon "
+        "indistinguishable from a wedged one. Each blocking call in a "
+        "service coroutine's own body is flagged, and so is the first hop "
+        "of any plain (non-executor, non-task) call chain into synchronous "
+        "project helpers whose subtree blocks. Use asyncio.sleep, or "
+        "dispatch the blocking work through loop.run_in_executor / "
+        "asyncio.to_thread — executor and task dispatches are exempt."
     ),
 )
 def check_transitive_blocking(analysis: Any) -> Iterator[Violation]:
-    """Flag async→sync-helper edges whose subtree blocks."""
+    """Flag blocking calls in coroutines and async→sync-helper edges."""
     symtab = analysis.symtab
+
+    def is_root(fn: FunctionInfo) -> bool:
+        return fn.is_async and bool(
+            symtab.contexts[fn.module].in_package("repro.service")
+        )
+
     direct: Dict[str, PrimitiveCall] = {}
     for qname in sorted(analysis.graph.primitives_by_caller):
         fn = symtab.functions[qname]
-        if fn.is_async:
-            continue  # lexically-async blocking is RPR501's finding
         for primitive in analysis.graph.primitives_by_caller[qname]:
             if primitive.category != "blocking":
                 continue
             if _source_waived(analysis, primitive):
                 continue
-            direct.setdefault(qname, primitive)
-            break
+            if is_root(fn):
+                yield _violation(
+                    analysis, fn, primitive.lineno, "RPR602",
+                    f"blocking call {primitive.target}() inside 'async def "
+                    f"{fn.name}' stalls the daemon's event loop; use the "
+                    "asyncio equivalent or run it in an executor",
+                )
+            elif not fn.is_async:
+                direct.setdefault(qname, primitive)
     reach, hop = _reverse_reach(
         analysis, direct, kinds=(KIND_CALL,), sync_only=True
     )
     flagged: Set[Tuple[str, str]] = set()
     for qname in sorted(symtab.functions):
         fn = symtab.functions[qname]
-        if not fn.is_async:
-            continue
-        if not symtab.contexts[fn.module].in_package("repro.service"):
+        if not is_root(fn):
             continue
         for edge in analysis.graph.callees(qname):
             if edge.kind != KIND_CALL:
@@ -359,15 +391,16 @@ def check_transitive_blocking(analysis: Any) -> Iterator[Violation]:
 
 
 # ---------------------------------------------------------------------
-# RPR603 — cross-function fsync-before-rename
+# RPR603 — fsync-before-rename
 # ---------------------------------------------------------------------
 
-#: Rename spellings followed across functions. ``os.replace`` is
-#: included here (unlike RPR502): per-file it is RPR201's finding, but
-#: a helper in a non-durable module publishing via os.replace without a
-#: prior fsync in the *combined* sequence is exactly the cross-function
-#: hole this pass exists to close.
+#: Dotted call targets that publish a file by renaming it. At depth 0,
+#: ``os.replace`` is checked in every linted file; the other spellings,
+#: and the one-argument method forms below, only in the durable-state
+#: packages, where the heuristic method match pays for itself.
 _RENAME_TARGETS = ("os.replace", "os.rename", "shutil.move")
+#: Method names whose one-argument form is a pathlib-style publish
+#: (``str.replace(old, new)`` takes two arguments and never matches).
 _RENAME_METHODS = frozenset({"rename", "replace"})
 
 
@@ -410,17 +443,14 @@ def _durable_module(analysis: Any, module: str) -> bool:
 
 
 def _rename_waived(analysis: Any, event: _PublishEvent) -> bool:
-    """Whether the rename's own line carries a fsync-before-rename waiver.
+    """Whether the rename's own line carries a ``noqa[RPR603]``.
 
-    A ``noqa`` for RPR201, RPR502 or RPR603 on the rename itself states
-    that it publishes nothing that must survive a crash (say, moving a
-    corrupt file aside), so no caller owes it an fsync either.
+    The waiver states that the rename publishes nothing that must
+    survive a crash (say, moving a corrupt file aside), so no caller
+    owes it an fsync either.
     """
     path = analysis.symtab.contexts[event.site_module].path
-    return any(
-        analysis.covers(path, code, event.site_line)
-        for code in ("RPR201", "RPR502", "RPR603")
-    )
+    return bool(analysis.covers(path, "RPR603", event.site_line))
 
 
 def _publish_events(
@@ -467,28 +497,38 @@ def _publish_events(
 
 @register_flow(
     "RPR603",
-    "cross-function-unsynced-publish",
-    "durable-state code reaches a rename with no fsync ordered before it",
+    "unsynced-publish",
+    "rename publishes a file with no os.fsync ordered before it",
     scope=SCOPE_DURABLE,
     rationale=(
-        "RPR201/RPR502 check fsync-before-rename one function at a time, "
-        "so a durable-layer function that delegates its publish to a "
-        "helper in a non-durable module escapes both. This pass splices "
-        "callee event streams into each durable-scope function and flags "
-        "any helper-side rename with no fsync anywhere earlier in the "
-        "combined order. Renames inside durable modules stay the per-"
-        "file rules' findings and are not re-flagged here, and a rename "
-        "whose own line waives RPR201, RPR502 or RPR603 is not a publish."
+        "os.replace publishes a file atomically, but only fsync-then-"
+        "rename makes the publish durable: without the fsync a power loss "
+        "can expose a committed-but-empty entry, and the WAL and snapshot "
+        "files are the daemon's crash-recovery truth. A rename with no "
+        "os.fsync earlier in its own function is flagged (os.replace in "
+        "every file; os.rename, shutil.move and the pathlib rename/replace "
+        "methods in repro.durable and repro.service). The pass also "
+        "splices callee event streams into each durable-scope function and "
+        "flags a call whose helper-side rename has no fsync anywhere "
+        "earlier in the combined order. A rename whose own line waives "
+        "RPR603 is not a publish. Write to a temp file, flush, fsync, then "
+        "publish."
     ),
 )
-def check_cross_function_publish(analysis: Any) -> Iterator[Violation]:
-    """Flag helper renames unordered after any fsync, per durable root."""
+def check_unsynced_publish(analysis: Any) -> Iterator[Violation]:
+    """Flag renames unordered after any fsync, in place and per root."""
     symtab = analysis.symtab
     memo: Dict[str, List[_PublishEvent]] = {}
     flagged: Set[Tuple[str, str, int]] = set()
+    # Outside the durable scope only an os.replace can be a finding.
+    replacers = {
+        call.caller for call in analysis.graph.external
+        if call.target == "os.replace"
+    }
     for qname in sorted(symtab.functions):
         fn = symtab.functions[qname]
-        if not _durable_module(analysis, fn.module):
+        durable = _durable_module(analysis, fn.module)
+        if not durable and qname not in replacers:
             continue
         fsync_seen = False
         for call, resolution in analysis.builder.resolve_calls(fn):
@@ -499,9 +539,18 @@ def check_cross_function_publish(analysis: Any) -> Iterator[Violation]:
             ):
                 fsync_seen = True
                 continue
-            if _rename_label(analysis, fn, call) is not None:
-                continue  # direct renames are RPR201/RPR502 findings
-            if resolution.kind != "project":
+            label = _rename_label(analysis, fn, call)
+            if label is not None:
+                if not fsync_seen and (durable or label == "os.replace"):
+                    yield _violation(
+                        analysis, fn, call.lineno, "RPR603",
+                        f"{label}() publishes without a preceding os.fsync "
+                        "in this function; a crash can expose a torn or "
+                        "empty committed file (write-tmp, flush, fsync, "
+                        "then rename)",
+                    )
+                continue
+            if not durable or resolution.kind != "project":
                 continue
             for event in _publish_events(
                 analysis, resolution.target, memo, set(), 1
@@ -512,7 +561,7 @@ def check_cross_function_publish(analysis: Any) -> Iterator[Violation]:
                 if fsync_seen:
                     continue
                 if _durable_module(analysis, event.site_module):
-                    continue  # that module's own per-file finding
+                    continue  # that module's own depth-0 finding
                 if _rename_waived(analysis, event):
                     continue
                 key = (qname, event.site_module, event.site_line)

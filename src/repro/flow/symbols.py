@@ -8,7 +8,9 @@ the table answers the questions the call-graph builder asks:
   ``pkg.mod.Class.method`` inside a class, and
   ``outer.<locals>.inner`` for nested functions (CPython's own
   ``__qualname__`` convention), so nested executor helpers are distinct
-  analysis scopes, exactly as the per-file rules treat them.
+  analysis scopes. Each module also gets one ``pkg.mod.<module>``
+  scope for the code that runs at import: module statements, class
+  bodies, decorators and defaults.
 * **What does a dotted name mean here?** :meth:`SymbolTable.canonicalize`
   chases re-exports: ``repro.service.SchedulerService`` (imported from
   the package ``__init__``) resolves to
@@ -43,10 +45,13 @@ __all__ = ["FunctionInfo", "ClassInfo", "SymbolTable"]
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
+#: Name of the per-module scope holding the code run at import.
+_MODULE_SCOPE = "<module>"
+
 
 @dataclass
 class FunctionInfo:
-    """One project function or method."""
+    """One project function or method, or a module's import-time scope."""
 
     qname: str
     module: str
@@ -55,7 +60,7 @@ class FunctionInfo:
     lineno: int
     is_async: bool
     class_qname: Optional[str]
-    node: FunctionNode = field(repr=False, compare=False)
+    node: Union[FunctionNode, ast.Module] = field(repr=False, compare=False)
     #: Local name -> qname of functions visible by bare name from this
     #: function's body (its own nested defs plus the enclosing chain's).
     local_defs: Dict[str, str] = field(
@@ -112,6 +117,12 @@ class SymbolTable:
     # -- collection ---------------------------------------------------
 
     def _collect_module(self, module: str, context: ModuleContext) -> None:
+        scope = f"{module}.{_MODULE_SCOPE}"
+        self.functions[scope] = FunctionInfo(
+            qname=scope, module=module, name=_MODULE_SCOPE,
+            path=context.path, lineno=1, is_async=False, class_qname=None,
+            node=context.tree,
+        )
         for node in context.tree.body:
             self._collect_node(node, module, context, prefix=module,
                                class_qname=None, enclosing=None)
@@ -372,10 +383,12 @@ class SymbolTable:
                 klass.attr_types[target.attr] = ""
 
     def _annotated_params(
-        self, node: FunctionNode, context: ModuleContext
+        self, node: Union[FunctionNode, ast.Module], context: ModuleContext
     ) -> Dict[str, str]:
         """Parameter name -> project class qname, from annotations."""
         result: Dict[str, str] = {}
+        if isinstance(node, ast.Module):
+            return result
         args = list(node.args.posonlyargs) + list(node.args.args) + list(
             node.args.kwonlyargs
         )

@@ -27,7 +27,7 @@ from repro.errors import JobError
 __all__ = ["SPEC_SCHEMA_VERSION", "canonical_json", "spec_key"]
 
 #: Version of the RunSpec wire schema; bumping it invalidates all keys.
-SPEC_SCHEMA_VERSION = 1
+SPEC_SCHEMA_VERSION = 2
 
 #: Domain-separation prefix folded into every digest.
 _KEY_DOMAIN = b"repro.jobs.spec/v%d\x00" % SPEC_SCHEMA_VERSION

@@ -154,7 +154,8 @@ class WorkloadSpec:
         Per-run instruction budget (per *thread* for ``parsec``).
     seed:
         Build seed fed to the task/VM builders (generator seeds derive
-        from it per name and position).
+        from it per name and position); ``vm`` workloads also seed the
+        Dom0 background workload with it.
     """
 
     kind: str
@@ -279,8 +280,6 @@ class RunSpec:
     overhead:
         Optional :class:`~repro.virt.overhead.VirtualizationOverhead`
         kwargs (``vm`` workloads only).
-    seed:
-        Seed of the Dom0 background workload (``vm`` workloads only).
     batch_accesses:
         Interleaving grain of the simulator.
     min_wall_cycles / max_wall_cycles:
@@ -313,7 +312,6 @@ class RunSpec:
     signature: Optional[TMapping[str, Any]] = None
     scheduler: Optional[TMapping[str, Any]] = None
     overhead: Optional[TMapping[str, Any]] = None
-    seed: int = 0
     batch_accesses: int = 256
     min_wall_cycles: Optional[float] = None
     max_wall_cycles: Optional[float] = None
@@ -327,7 +325,7 @@ class RunSpec:
     #: loudly instead.
     _SERIALISED_FIELDS = frozenset({
         "machine", "workload", "mapping", "monitor", "signature",
-        "scheduler", "overhead", "seed", "batch_accesses",
+        "scheduler", "overhead", "batch_accesses",
         "min_wall_cycles", "max_wall_cycles", "faults", "backend",
         "estimator",
     })
@@ -376,7 +374,6 @@ class RunSpec:
             "signature": None if self.signature is None else dict(self.signature),
             "scheduler": None if self.scheduler is None else dict(self.scheduler),
             "overhead": None if self.overhead is None else dict(self.overhead),
-            "seed": self.seed,
             "batch_accesses": self.batch_accesses,
             "min_wall_cycles": self.min_wall_cycles,
             "max_wall_cycles": self.max_wall_cycles,
@@ -419,7 +416,6 @@ class RunSpec:
             signature=None if d.get("signature") is None else dict(d["signature"]),
             scheduler=None if d.get("scheduler") is None else dict(d["scheduler"]),
             overhead=None if d.get("overhead") is None else dict(d["overhead"]),
-            seed=d["seed"],
             batch_accesses=d["batch_accesses"],
             min_wall_cycles=d.get("min_wall_cycles"),
             max_wall_cycles=d.get("max_wall_cycles"),
@@ -440,7 +436,6 @@ def make_run_spec(
     signature: Optional[SignatureConfig] = None,
     scheduler: Optional[SchedulerConfig] = None,
     overhead: Optional[TMapping[str, Any]] = None,
-    seed: int = 0,
     batch_accesses: int = 256,
     min_wall_cycles: Optional[float] = None,
     max_wall_cycles: Optional[float] = None,
@@ -457,7 +452,6 @@ def make_run_spec(
         signature=None if signature is None else asdict(signature),
         scheduler=None if scheduler is None else asdict(scheduler),
         overhead=None if overhead is None else dict(overhead),
-        seed=seed,
         batch_accesses=batch_accesses,
         min_wall_cycles=min_wall_cycles,
         max_wall_cycles=max_wall_cycles,
@@ -815,7 +809,9 @@ def _execute_vm(spec, machine, signature, scheduler, mapping, injector=None):
         None if spec.overhead is None
         else VirtualizationOverhead(**spec.overhead)
     )
-    hypervisor = Hypervisor(machine, vms, overhead=overhead, seed=spec.seed)
+    hypervisor = Hypervisor(
+        machine, vms, overhead=overhead, seed=spec.workload.seed
+    )
     index = 0
     for vi, vm in enumerate(hypervisor.vms):
         for vcpu in vm.vcpus:

@@ -5,20 +5,28 @@ enforced only by convention; this package encodes them as a static-
 analysis pass (the contract catalogue lives in
 ``docs/static-analysis.md``):
 
-* **RPR1xx determinism** — no wall-clock, unseeded RNG, OS entropy or
-  randomised ``hash()`` inside the simulation core packages.
-* **RPR2xx durability/robustness** — fsync-before-``os.replace``
-  publishes; no bare or silently swallowed broad excepts.
+* **RPR104** — no randomised builtin ``hash()`` inside the simulation
+  core packages.
+* **RPR2xx exception hygiene** — no bare or silently swallowed broad
+  excepts.
 * **RPR3xx worker-safety** — nothing unpicklable handed to the spawn
   pool (lambdas, closures, local classes).
 * **RPR4xx telemetry hygiene** — the single-guard ``current() is None``
   fast path is never bypassed; only entry points install contexts.
+* **RPR6xx whole-program passes** (:mod:`repro.flow`), each the one
+  rule for its invariant, from the offending call itself through any
+  chain of calls — no wall-clock, unseeded RNG or OS entropy in the
+  simulation core (RPR601), no blocking call on the daemon's event loop
+  (RPR602), an fsync before every publishing rename (RPR603), no
+  service state mutated across an ``await`` (RPR604).
 
-Run it as ``repro-cli lint`` or ``python scripts/run_lint.py``.
-Suppress a waived finding with ``# repro: noqa[CODE]`` (line) or
-``# repro: noqa-file[CODE]`` (file); grandfathered violations live in
-``lint-baseline.json`` — except determinism findings, which can never
-be baselined.
+Every run applies both families over one parse. Run it as ``repro-cli
+lint`` or ``python scripts/run_lint.py`` (the same command with the
+committed baseline, from the repository root). Suppress a waived
+finding with ``# repro: noqa[CODE]`` (line) or ``# repro:
+noqa-file[CODE]`` (file); grandfathered violations live in
+``lint-baseline.json`` — except RPR1xx and RPR6xx findings, which can
+never be baselined.
 """
 
 from __future__ import annotations

@@ -6,11 +6,15 @@ are paid down incrementally — the standard ratchet. Entries are keyed by
 number, so edits elsewhere in a file do not churn the baseline; moving
 or duplicating the offending construct does.
 
-Policy, enforced here rather than by convention: **determinism rules
-(RPR1xx) cannot be baselined.** The simulation core must be fully clean
-— a wall-clock or unseeded-RNG leak silently invalidates every
-regenerated table, so "we'll fix it later" is not an available state.
-:meth:`Baseline.from_violations` raises on any RPR1xx entry.
+Policy, enforced here rather than by convention for every front end:
+**RPR1xx and RPR6xx findings are never baselined.** RPR104 and RPR601
+guard the simulation core, which must be fully clean — a wall-clock or
+unseeded-RNG leak silently invalidates every regenerated table, so
+"we'll fix it later" is not an available state; the other flow passes
+(blocking coroutines, unsynced publishes, await races) guard the
+daemon's recovery truth the same way.
+:meth:`Baseline.from_violations` raises on any such entry, and
+:meth:`Baseline.split` always reports them as new.
 """
 
 from __future__ import annotations
@@ -30,11 +34,8 @@ BASELINE_VERSION = 1
 #: Conventional baseline filename at the repository root.
 DEFAULT_BASELINE_NAME = "lint-baseline.json"
 
-#: Code prefixes that may never be grandfathered. RPR601 is the flow
-#: analyser's *interprocedural* determinism rule — the same "the core
-#: must actually be clean" policy as RPR1xx, so it ratchets the same
-#: way: the baseline stays empty for it, always.
-_UNBASELINABLE_PREFIXES: Tuple[str, ...] = ("RPR1", "RPR601")
+#: Code prefixes that may never be grandfathered.
+_UNBASELINABLE_PREFIXES: Tuple[str, ...] = ("RPR1", "RPR6")
 
 _GroupKey = Tuple[str, str, str]  # (path, code, fingerprint source line)
 
@@ -61,8 +62,8 @@ class Baseline:
         """Build a baseline grandfathering exactly *violations*.
 
         Raises :class:`~repro.errors.ConfigurationError` if any has an
-        unbaselinable (determinism) code — fix or ``noqa`` those with an
-        explanatory comment instead.
+        unbaselinable (RPR1xx/RPR6xx) code — fix or ``noqa`` those with
+        an explanatory comment instead.
         """
         counts: Counter = Counter()
         forbidden: List[Violation] = []
@@ -73,9 +74,9 @@ class Baseline:
         if forbidden:
             listing = "\n  ".join(v.format() for v in sorted(forbidden))
             raise ConfigurationError(
-                "determinism violations (RPR1xx/RPR601) cannot be baselined "
-                "— the simulation core must be clean; fix them or add a "
-                f"'# repro: noqa[CODE]' with justification:\n  {listing}"
+                "RPR1xx/RPR6xx violations cannot be baselined — fix them "
+                "or add a '# repro: noqa[CODE]' with justification:"
+                f"\n  {listing}"
             )
         return cls(dict(counts))
 
@@ -135,8 +136,9 @@ class Baseline:
 
         Within one fingerprint group the earliest occurrences (by line)
         consume the baseline budget; any surplus beyond the recorded
-        count is new. Deterministic: the same input always partitions
-        the same way.
+        count is new, and so is every unbaselinable finding, whatever a
+        hand-edited file says. Deterministic: the same input always
+        partitions the same way.
         """
         budget = dict(self.counts)
         new: List[Violation] = []
@@ -144,7 +146,9 @@ class Baseline:
         for violation in sorted(violations):
             key = _key(violation)
             remaining = budget.get(key, 0)
-            if remaining > 0:
+            if remaining > 0 and not violation.code.startswith(
+                _UNBASELINABLE_PREFIXES
+            ):
                 budget[key] = remaining - 1
                 old.append(violation)
             else:

@@ -1,45 +1,47 @@
 """Command-line front end: ``repro-cli lint`` and ``scripts/run_lint.py``.
 
-Both entries share :func:`add_arguments` / :func:`run` so the flag
-surface cannot drift. Exit codes follow the repo convention: ``0``
-clean, ``1`` violations found, ``2`` configuration/usage error.
+``scripts/run_lint.py`` is ``repro-cli lint --baseline`` run from the
+repository root, so the two entries share :func:`add_arguments` /
+:func:`run` and the flag surface cannot drift. Every run applies the
+per-file rules and the whole-program flow passes (RPR6xx) over one
+parse. Exit codes follow the repo convention: ``0`` clean, ``1``
+violations found, ``2`` configuration/usage error.
 
 Baseline semantics:
 
 * ``--baseline`` filters known violations through the committed
   baseline file (``lint-baseline.json`` by default) — CI mode.
 * ``--update-baseline`` rewrites that file to grandfather everything
-  currently found. Determinism (RPR1xx) violations refuse to baseline:
-  the simulation core must be fixed or ``noqa``-ed with justification,
-  never grandfathered.
+  currently found. RPR1xx and RPR6xx violations refuse to baseline
+  (:mod:`repro.lint.baseline`): they must be fixed or ``noqa``-ed with
+  justification, never grandfathered.
 """
 
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.lint.engine import LintResult, lint_paths, load_modules
-from repro.lint.registry import (
-    FlowRule,
-    Rule,
-    all_flow_rules,
-    all_rules,
-)
+from repro.lint.engine import AnyRule, LintResult, lint_paths
+from repro.lint.registry import all_flow_rules, all_rules
 from repro.lint.report import render_json, render_text
 from repro.lint.violation import Violation
 
-__all__ = ["add_arguments", "run", "main"]
+__all__ = ["DEFAULT_TREES", "add_arguments", "run", "main"]
+
+#: Directories linted when no paths are given.
+DEFAULT_TREES = ("src", "tests", "scripts", "benchmarks", "examples")
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the lint flag surface to *parser* (shared by entries)."""
     parser.add_argument(
         "paths", nargs="*", default=None,
-        help="files/directories to lint (default: src tests scripts)",
+        help="files/directories to lint (default: "
+        + " ".join(DEFAULT_TREES) + ")",
     )
     parser.add_argument(
         "--format", choices=["text", "json"], default="text",
@@ -56,7 +58,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--update-baseline", action="store_true",
         help="rewrite the baseline file to grandfather current violations "
-        "(refuses RPR1xx: determinism must be fixed, not grandfathered)",
+        "(refuses RPR1xx and RPR6xx: those must be fixed, not "
+        "grandfathered)",
     )
     parser.add_argument(
         "--select", metavar="CODES", default=None,
@@ -67,49 +70,31 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--flow", action="store_true",
-        help="also run the whole-program flow passes (RPR6xx) over the "
-        "same parse — call-graph construction plus interprocedural "
-        "determinism/async-safety/durability checks",
-    )
-    parser.add_argument(
         "--callgraph-out", metavar="FILE", default=None,
-        help="write the call graph as versioned JSON (implies --flow)",
+        help="write the run's call graph as versioned JSON",
     )
     parser.add_argument(
         "--callgraph-dot", metavar="FILE", default=None,
-        help="write the call graph as Graphviz DOT (implies --flow)",
+        help="write the run's call graph as Graphviz DOT",
     )
 
 
-def _default_paths() -> List[str]:
-    return [p for p in ("src", "tests", "scripts") if Path(p).exists()]
+def _selected_rules(select: Optional[str]) -> List[AnyRule]:
+    """Resolve ``--select`` against the one catalogue of both registries.
 
-
-def _selected_rules(
-    select: Optional[str],
-) -> Tuple[List["Rule"], List["FlowRule"]]:
-    """Resolve ``--select`` against both rule families.
-
-    A code may live in either registry; unknown codes are a usage error
-    (exit 2). With no selection, everything in both families is active
-    (flow rules still only *run* under ``--flow``).
+    Unknown codes are a usage error (exit 2). With no selection, every
+    rule is active.
     """
-    rules = all_rules()
-    flow_rules = all_flow_rules()
+    catalogue: List[AnyRule] = [*all_rules(), *all_flow_rules()]
     if select is None:
-        return rules, flow_rules
+        return catalogue
     wanted = {code.strip() for code in select.split(",") if code.strip()}
-    known = {rule.code for rule in rules} | {r.code for r in flow_rules}
-    unknown = wanted - known
+    unknown = wanted - {rule.code for rule in catalogue}
     if unknown:
         raise ConfigurationError(
             f"unknown rule code(s) in --select: {sorted(unknown)}"
         )
-    return (
-        [rule for rule in rules if rule.code in wanted],
-        [rule for rule in flow_rules if rule.code in wanted],
-    )
+    return [rule for rule in catalogue if rule.code in wanted]
 
 
 def _list_rules() -> str:
@@ -130,46 +115,30 @@ def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
-    paths: Sequence[str] = args.paths or _default_paths()
+    paths: Sequence[str] = args.paths or [
+        tree for tree in DEFAULT_TREES if Path(tree).exists()
+    ]
     if not paths:
-        print("error: no paths given and no src/tests/scripts directory here")
+        print("error: no paths given and none of "
+              f"{', '.join(DEFAULT_TREES)} here")
         return 2
-    flow_requested = bool(
-        getattr(args, "flow", False)
-        or getattr(args, "callgraph_out", None)
-        or getattr(args, "callgraph_dot", None)
-    )
-    flow_result = None
     try:
-        rules, flow_rules = _selected_rules(args.select)
-        # Parse once: the same loaded modules feed the per-file rules
-        # and (under --flow) the whole-program passes and exporters.
-        modules = load_modules(paths)
-        result = lint_paths(paths, rules=rules, modules=modules)
-        if flow_requested:
-            from repro.flow import Program, analyze, run_flow
-            from repro.flow.export import callgraph_dot, callgraph_json
-
-            program = Program(modules)
-            analysis = analyze(program)
-            flow_result = run_flow(
-                program, rules=flow_rules, analysis=analysis
-            )
-            result = LintResult(
-                sorted(result.violations + flow_result.violations),
-                result.files_scanned,
-            )
-            if args.callgraph_out:
-                Path(args.callgraph_out).write_text(
-                    callgraph_json(analysis), encoding="utf-8"
-                )
-            if args.callgraph_dot:
-                Path(args.callgraph_dot).write_text(
-                    callgraph_dot(analysis), encoding="utf-8"
-                )
+        result = lint_paths(paths, rules=_selected_rules(args.select))
     except ConfigurationError as exc:
         print(f"error: {exc}")
         return 2
+    # Imported here: repro-cli loads this module for every subcommand.
+    from repro.flow.export import callgraph_dot, callgraph_json
+
+    analysis = result.flow.analysis
+    if args.callgraph_out:
+        Path(args.callgraph_out).write_text(
+            callgraph_json(analysis), encoding="utf-8"
+        )
+    if args.callgraph_dot:
+        Path(args.callgraph_dot).write_text(
+            callgraph_dot(analysis), encoding="utf-8"
+        )
 
     if args.update_baseline:
         try:
@@ -192,21 +161,12 @@ def run(args: argparse.Namespace) -> int:
             print(f"error: {exc}")
             return 2
         fresh, baselined = baseline.split(result.violations)
-        result = LintResult(fresh, result.files_scanned)
+        result = LintResult(fresh, result.files_scanned, result.flow)
 
     if args.format == "json":
         print(render_json(result, baselined))
     else:
         print(render_text(result, baselined))
-        if flow_result is not None:
-            stats = flow_result.stats
-            print(
-                f"flow: {stats['modules']} modules, "
-                f"{stats['functions']} functions, "
-                f"{stats['call_edges']} call edges, "
-                f"{stats['unresolved_calls']} unresolved calls, "
-                f"{stats['findings']} finding(s)"
-            )
     return 0 if result.ok else 1
 
 

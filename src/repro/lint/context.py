@@ -28,7 +28,7 @@ __all__ = ["SIM_CORE_PACKAGES", "ModuleContext", "module_name_for_path"]
 
 #: Packages whose results must be bit-reproducible from seeds — the
 #: paper's two-phase methodology regenerates every table from these, so
-#: the determinism rules (RPR1xx) apply here and only here. Wall-clock
+#: the determinism rules (RPR104, RPR601) apply here and only here. Wall-clock
 #: and OS entropy stay legal elsewhere (``repro.jobs`` measures real
 #: wall time for timeouts; ``repro.telemetry`` timestamps spans) — that
 #: allowlist is expressed by this package list, not by ``noqa``.

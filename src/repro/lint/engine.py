@@ -2,17 +2,19 @@
 
 One :func:`lint_paths` call is one lint run: discover ``.py`` files,
 parse each once into a :class:`~repro.lint.context.ModuleContext`, run
-every registered rule whose scope covers the module, drop violations
-waived by ``# repro: noqa[...]`` comments, and return the sorted
-remainder in a :class:`LintResult`. Baseline filtering is deliberately
-*not* done here — the CLI layer owns the baseline so programmatic users
-(tests, the self-check) always see the full picture.
+every registered per-file rule whose scope covers the module and every
+whole-program flow pass (:mod:`repro.flow`, the RPR6xx family) over the
+same parse, drop violations waived by ``# repro: noqa[...]`` comments,
+and return the sorted remainder in a :class:`LintResult`, together with
+the run's flow analysis (its call graph feeds the exporters). Baseline
+filtering is deliberately *not* done here — the CLI layer owns the
+baseline so programmatic users (tests, the self-check) always see the
+full picture.
 
 Parse-once sharing: :func:`load_modules` materialises the tree as
 :class:`LoadedModule` objects (parsed context + lazily built
-suppression index) that both this engine (:func:`lint_modules`) and the
-whole-program flow analyser (:mod:`repro.flow`) consume, so a combined
-``lint --flow`` run parses each file exactly once.
+suppression index) that both the per-file rules and the flow analyser
+consume, so a run parses each file exactly once.
 
 Unparseable files are reported as ``RPR001`` violations rather than
 crashing the run: a syntax error in one file must not hide violations
@@ -22,16 +24,31 @@ in the other two hundred.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.lint.context import ModuleContext
-from repro.lint.registry import Rule, all_rules
+from repro.lint.registry import FlowRule, Rule, all_flow_rules, all_rules
 from repro.lint.suppress import SuppressionIndex
 from repro.lint.violation import Violation
+
+if TYPE_CHECKING:
+    from repro.flow.engine import FlowResult
 
 __all__ = ["PARSE_ERROR_CODE", "DEFAULT_EXCLUDED_PARTS", "LintResult",
            "LoadedModule", "iter_source_files", "load_modules",
            "lint_modules", "lint_source", "lint_paths"]
+
+#: A rule from either registry: ``rules=`` picks from one catalogue.
+AnyRule = Union[Rule, FlowRule]
 
 #: Reported when a file cannot be parsed at all.
 PARSE_ERROR_CODE = "RPR001"
@@ -105,13 +122,19 @@ class LoadedModule:
 
 
 class LintResult:
-    """Outcome of one lint run."""
+    """Outcome of one lint run: its violations and its flow analysis."""
 
     def __init__(
-        self, violations: List[Violation], files_scanned: int
+        self,
+        violations: List[Violation],
+        files_scanned: int,
+        flow: "FlowResult",
     ) -> None:
         self.violations = violations
         self.files_scanned = files_scanned
+        #: The run's flow result: call graph (``flow.analysis``) and the
+        #: statistics the reports print (``flow.stats``).
+        self.flow = flow
 
     @property
     def ok(self) -> bool:
@@ -199,63 +222,70 @@ def load_modules(
     return modules
 
 
-def _lint_one(
-    module: LoadedModule, rules: Optional[Sequence[Rule]]
-) -> List[Violation]:
+def _lint_one(module: LoadedModule, rules: Sequence[Rule]) -> List[Violation]:
     """Run the per-file rules over one loaded module."""
     if module.context is None:
         assert module.error is not None
         return [module.error]
     context = module.context
-    active = all_rules() if rules is None else list(rules)
     found: List[Violation] = []
-    for rule in active:
+    for rule in rules:
         if rule.applies_to(context):
             found.extend(rule.check(context))
     suppressions = module.suppressions
     kept = [v for v in found if not suppressions.is_suppressed(v)]
     kept.extend(suppressions.malformed)
-    return sorted(kept)
+    return kept
 
 
 def lint_modules(
     modules: Sequence[LoadedModule],
-    rules: Optional[Sequence[Rule]] = None,
+    rules: Optional[Sequence[AnyRule]] = None,
 ) -> LintResult:
-    """Run the per-file rules over already-loaded modules (parse-once)."""
+    """Run the per-file rules and the flow passes over loaded modules.
+
+    *rules* selects from both registries (default: every rule).
+    """
+    # Imported here: repro.flow builds on this module.
+    from repro.flow.engine import run_flow
+    from repro.flow.program import Program
+
+    active = [*all_rules(), *all_flow_rules()] if rules is None else rules
+    file_rules = [r for r in active if isinstance(r, Rule)]
+    flow_rules = [r for r in active if isinstance(r, FlowRule)]
     violations: List[Violation] = []
     for module in modules:
-        violations.extend(_lint_one(module, rules))
-    return LintResult(sorted(violations), len(modules))
+        violations.extend(_lint_one(module, file_rules))
+    flow = run_flow(Program(modules), rules=flow_rules)
+    return LintResult(
+        sorted(violations + flow.violations), len(modules), flow
+    )
 
 
 def lint_source(
     path: Union[str, Path],
     source: str,
     module: Optional[str] = None,
-    rules: Optional[Sequence[Rule]] = None,
+    rules: Optional[Sequence[AnyRule]] = None,
 ) -> List[Violation]:
     """Lint one in-memory module; the unit every test builds on.
 
     *module* overrides the package classification (fixtures pretend to
-    live in ``repro.perf`` etc.); *rules* restricts the rule set.
+    live in ``repro.perf`` etc.); *rules* restricts the rule set. The
+    flow passes see a program of this one module, so they report its
+    depth-0 findings and the chains that stay inside it.
     """
-    return _lint_one(LoadedModule.parse(path, source, module=module), rules)
+    loaded = LoadedModule.parse(path, source, module=module)
+    return lint_modules([loaded], rules=rules).violations
 
 
 def lint_paths(
     paths: Sequence[Union[str, Path]],
-    rules: Optional[Sequence[Rule]] = None,
+    rules: Optional[Sequence[AnyRule]] = None,
     excluded_parts: Sequence[str] = DEFAULT_EXCLUDED_PARTS,
     root: Optional[Union[str, Path]] = None,
-    modules: Optional[Sequence[LoadedModule]] = None,
 ) -> LintResult:
-    """Lint every source file under *paths*.
-
-    Pass *modules* (from :func:`load_modules`) to reuse an existing
-    parse — the combined ``lint --flow`` path does, so each file is
-    parsed exactly once per run.
-    """
-    if modules is None:
-        modules = load_modules(paths, excluded_parts, root=root)
-    return lint_modules(modules, rules=rules)
+    """Lint every source file under *paths* as one program."""
+    return lint_modules(
+        load_modules(paths, excluded_parts, root=root), rules=rules
+    )

@@ -1,19 +1,23 @@
 """Rule registry: codes, metadata, scopes, and the registration decorator.
 
-Every rule is a function ``check(module) -> Iterable[Violation]``
-registered under a stable ``RPRxxx`` code. The code's hundreds digit is
-the invariant family (the catalogue in ``docs/static-analysis.md``):
+Every per-file rule is a function ``check(module) -> Iterable[Violation]``
+and every flow rule a function ``check(analysis)``, registered under a
+stable ``RPRxxx`` code; each invariant has exactly one rule. The code's
+hundreds digit is the invariant family (the catalogue in
+``docs/static-analysis.md``):
 
-* ``RPR1xx`` — determinism (simulation core only)
-* ``RPR2xx`` — durability / robustness
+* ``RPR1xx`` — ordering-sensitive ``hash()`` (simulation core only)
+* ``RPR2xx`` — exception hygiene
 * ``RPR3xx`` — worker-safety (spawn-pool picklability)
 * ``RPR4xx`` — telemetry hygiene
-* ``RPR5xx`` — service responsiveness and durable-state discipline
-  (``repro.service`` / ``repro.durable``)
+* ``RPR5xx`` — subsystem seams (``repro.estimate``)
+* ``RPR6xx`` — the whole-program flow passes: determinism, blocking
+  coroutines, fsync-before-rename and await races, each from the
+  offending call itself (depth 0) through any chain of calls
 
 Scopes keep package-level policy out of the rules themselves: a rule
 declares *where it applies* (``sim-core``, ``non-telemetry``,
-``service``, ``durable``, ``all``)
+``estimate``, ``all``; flow rules also ``service`` and ``durable``)
 and the engine consults :class:`~repro.lint.context.ModuleContext` for
 the module's package. This is how wall-clock stays legal in
 ``repro.jobs`` and ``repro.telemetry`` — by package scope, not by
@@ -55,18 +59,17 @@ SCOPE_ALL = "all"
 SCOPE_SIM_CORE = "sim-core"
 #: Rule applies everywhere except inside ``repro.telemetry`` itself.
 SCOPE_NON_TELEMETRY = "non-telemetry"
-#: Rule applies only inside the online scheduling service package.
-SCOPE_SERVICE = "service"
-#: Rule applies to the packages that persist scheduler state: the
-#: durability layer itself and the service daemon that hosts it.
-SCOPE_DURABLE = "durable"
 #: Rule applies only inside the estimation backends package.
 SCOPE_ESTIMATE = "estimate"
+#: Flow rule attributes findings to the online scheduling service.
+SCOPE_SERVICE = "service"
+#: Flow rule attributes findings to the packages that persist scheduler
+#: state: the durability layer itself and the service daemon.
+SCOPE_DURABLE = "durable"
 
-_VALID_SCOPES = (
-    SCOPE_ALL, SCOPE_SIM_CORE, SCOPE_NON_TELEMETRY, SCOPE_SERVICE,
-    SCOPE_DURABLE, SCOPE_ESTIMATE,
-)
+#: The scopes :meth:`Rule.applies_to` implements.
+_FILE_SCOPES = (SCOPE_ALL, SCOPE_SIM_CORE, SCOPE_NON_TELEMETRY, SCOPE_ESTIMATE)
+_VALID_SCOPES = _FILE_SCOPES + (SCOPE_SERVICE, SCOPE_DURABLE)
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,6 @@ class Rule:
             return module.is_sim_core
         if self.scope == SCOPE_NON_TELEMETRY:
             return not module.in_package("repro.telemetry")
-        if self.scope == SCOPE_SERVICE:
-            return module.in_package("repro.service")
-        if self.scope == SCOPE_DURABLE:
-            return module.in_package("repro.durable") or module.in_package(
-                "repro.service"
-            )
         if self.scope == SCOPE_ESTIMATE:
             return module.in_package("repro.estimate")
         return True
@@ -138,7 +135,7 @@ def register(
     Codes are unique; double registration is a programming error and
     fails loudly at import time rather than shadowing silently.
     """
-    if scope not in _VALID_SCOPES:
+    if scope not in _FILE_SCOPES:
         raise ConfigurationError(f"unknown rule scope {scope!r} for {code}")
 
     def decorator(fn: CheckFn) -> CheckFn:

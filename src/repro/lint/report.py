@@ -1,7 +1,8 @@
 """Text and JSON reporters for lint results.
 
 The text reporter is for humans and CI logs: one ``path:line:col: CODE
-message`` line per violation, a per-code tally, and the baseline
+message`` line per violation, the flow analysis statistics, and a last
+``OK:``/``FAIL:`` verdict line with a per-code tally and the baseline
 accounting (how many known violations were skipped). The JSON reporter
 is for tooling: a versioned document with the same information in
 machine shape, written to stdout so it can be piped.
@@ -28,14 +29,21 @@ def _summary(
         "violations": len(result.violations),
         "baselined": len(baselined),
         "by_code": {code: count for code, count in result.by_code()},
+        "flow": dict(result.flow.stats),
     }
 
 
 def render_text(result: LintResult, baselined: Sequence[Violation]) -> str:
-    """Human/CI report: violation lines, tally, baseline accounting."""
+    """Human/CI report: violations, flow stats, then the verdict line."""
     lines: List[str] = [v.format() for v in result.violations]
     if lines:
         lines.append("")
+    stats = result.flow.stats
+    lines.append(
+        f"flow: {stats['modules']} modules, {stats['functions']} functions, "
+        f"{stats['call_edges']} call edges, "
+        f"{stats['unresolved_calls']} unresolved calls"
+    )
     tally = ", ".join(f"{code}={count}" for code, count in result.by_code())
     status = "FAIL" if result.violations else "OK"
     lines.append(

@@ -10,9 +10,7 @@ from __future__ import annotations
 from repro.lint.rules import (
     determinism,
     durability,
-    durable_publish,
     estimate,
-    service_async,
     telemetry,
     worker_safety,
 )
@@ -20,9 +18,7 @@ from repro.lint.rules import (
 __all__ = [
     "determinism",
     "durability",
-    "durable_publish",
     "estimate",
-    "service_async",
     "telemetry",
     "worker_safety",
 ]

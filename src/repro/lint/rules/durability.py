@@ -1,20 +1,15 @@
-"""RPR2xx — durability and robustness rules.
+"""RPR2xx — exception hygiene.
 
 The robustness layer's contract (docs/robustness.md): a crash may cost
 recomputation but must never corrupt a result, and a fault must never
-be swallowed invisibly. Two syntactic patterns carry most of that
-contract, so they are enforced here:
+be swallowed invisibly. A bare ``except:`` (RPR202) or a broad
+``except Exception:`` whose body neither re-raises, nor logs, nor even
+reads the exception (RPR203) turns faults into silence. Sink isolation
+(event sinks, telemetry exporters) is allowed to drop exceptions *by
+design* and is allowlisted by module.
 
-* **Publish-after-fsync** — ``os.replace`` is the commit point of an
-  atomic write (in the tree, only :func:`repro.fileio.publish`, which
-  every durable store shares). Without an ``os.fsync`` before it, a
-  power loss after the rename can surface a committed-but-empty file —
-  the exact torn state the protocol exists to rule out.
-* **No silent swallowing** — a bare ``except:`` (RPR202) or a broad
-  ``except Exception:`` whose body neither re-raises, nor logs, nor
-  even reads the exception (RPR203) turns faults into silence. Sink
-  isolation (event sinks, telemetry exporters) is allowed to drop
-  exceptions *by design* and is allowlisted by module.
+The other half of the contract, an ``os.fsync`` before every
+publishing rename, is the flow pass RPR603's (:mod:`repro.flow.rules`).
 """
 
 from __future__ import annotations
@@ -58,76 +53,6 @@ def _violation(
         message=message,
         source=module.source_line(lineno),
     )
-
-
-def _direct_calls(
-    function: ast.AST, module: ModuleContext
-) -> Tuple[List[int], List[int]]:
-    """``(fsync_lines, replace_lines)`` called directly by *function*.
-
-    Nested ``def``/``class`` bodies are skipped — they are analysed as
-    their own scopes, so an outer fsync never excuses an inner replace
-    (or vice versa).
-    """
-    fsyncs: List[int] = []
-    replaces: List[int] = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if isinstance(child, ast.Call):
-                resolved = module.resolve_call(child)
-                if resolved == "os.fsync":
-                    fsyncs.append(child.lineno)
-                elif resolved == "os.replace":
-                    replaces.append(child.lineno)
-            visit(child)
-
-    visit(function)
-    return fsyncs, replaces
-
-
-@register(
-    "RPR201",
-    "replace-without-fsync",
-    "os.replace without a preceding os.fsync in the same function",
-    scope=SCOPE_ALL,
-    rationale=(
-        "os.replace publishes a file atomically, but only fsync-then-"
-        "replace makes the publish durable: without the fsync a power "
-        "loss can expose a committed-but-empty entry."
-    ),
-)
-def check_replace_without_fsync(module: ModuleContext) -> Iterator[Violation]:
-    """Flag os.replace publishes with no earlier os.fsync in scope."""
-    scopes = [
-        node
-        for node in ast.walk(module.tree)
-        if isinstance(
-            node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
-        )
-    ]
-    for scope in scopes:
-        fsync_lines, replace_lines = _direct_calls(scope, module)
-        first_fsync = min(fsync_lines) if fsync_lines else None
-        for replace_line in replace_lines:
-            if first_fsync is None or first_fsync > replace_line:
-                yield Violation(
-                    path=module.path,
-                    line=replace_line,
-                    col=1,
-                    code="RPR201",
-                    message=(
-                        "os.replace publishes without a preceding os.fsync "
-                        "in this function; a crash can expose a torn or "
-                        "empty committed file (write-tmp, flush, fsync, "
-                        "then replace)"
-                    ),
-                    source=module.source_line(replace_line),
-                )
 
 
 def _handler_swallows(

@@ -4,8 +4,8 @@ Two forms, both requiring explicit rule codes so a suppression always
 names what it waives (a bare blanket ``noqa`` hides future regressions
 of *other* rules on the same line and is rejected):
 
-* ``# repro: noqa[RPR101]`` — suppresses the listed codes on that line
-  only. Multiple codes separate with commas: ``noqa[RPR101,RPR104]``.
+* ``# repro: noqa[RPR601]`` — suppresses the listed codes on that line
+  only. Multiple codes separate with commas: ``noqa[RPR601,RPR104]``.
 * ``# repro: noqa-file[RPR202]`` — anywhere in the file, suppresses the
   listed codes for the whole file.
 
@@ -92,8 +92,8 @@ class SuppressionIndex:
     def covers(self, code: str, line: int) -> bool:
         """Whether *code* is waived at *line* (module- or line-scoped).
 
-        The flow analyser calls this directly: whole-program findings
-        (and the primitive call sites that seed them) are waived by the
+        The flow analyser calls this directly: flow findings (and the
+        primitive call sites that seed their chains) are waived by the
         same ``noqa``/``noqa-file`` comments as per-file findings, with
         ``noqa-file`` acting as the module-level suppression for
         generated or fixture-heavy modules.

@@ -124,7 +124,7 @@ def _pairwise(
             machine,
             WorkloadSpec(kind="spec", names=(name,),
                          instructions=instructions, seed=seed),
-            seed=seed, batch_accesses=batch_accesses,
+            batch_accesses=batch_accesses,
         )
         for name in ordered
     ] + [
@@ -133,7 +133,7 @@ def _pairwise(
             WorkloadSpec(kind="spec", names=(a, b),
                          instructions=instructions, seed=seed),
             mapping=pair_groups,
-            seed=seed, batch_accesses=batch_accesses,
+            batch_accesses=batch_accesses,
         )
         for a, b in pairs
     ]
@@ -414,7 +414,6 @@ class _TwoPhasePlan:
             ),
             scheduler=phase1_scheduler or _phase1_scheduler_default(machine),
             overhead=overhead,
-            seed=seed,
             batch_accesses=batch_accesses,
             min_wall_cycles=phase1_min_wall,
             faults=faults,
@@ -447,7 +446,6 @@ class _TwoPhasePlan:
             mapping=[sorted(g) for g in mapping.groups],
             scheduler=self.scheduler_config,
             overhead=self.overhead,
-            seed=self.seed,
             batch_accesses=self.batch_accesses,
             backend=self.backend,
             estimator=self.estimator,

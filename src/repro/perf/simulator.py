@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# Wall-clock is banned in the simulation core (lint rule RPR101): results
+# Wall-clock is banned in the simulation core (lint rule RPR601): results
 # must be a pure function of the seed. The perf_counter reads below are the
 # one sanctioned exception — every call site is behind the telemetry guard
 # (``tel``/``prof`` is None on the disabled fast path) and feeds only the
 # PhaseProfile/metrics side channel, never simulated time or results; each
-# site is waived individually with ``# repro: noqa[RPR101]`` so any *new*
+# site is waived individually with ``# repro: noqa[RPR601]`` so any *new*
 # clock read still fails the linter.
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence
@@ -286,7 +286,7 @@ class MulticoreSimulator:
             if tracer is not None
             else None
         )
-        run_started = perf_counter()  # repro: noqa[RPR101]
+        run_started = perf_counter()  # repro: noqa[RPR601]
         l2_accesses = 0
         # Core clocks and miss intensities run as plain floats (the same
         # doubles the arrays hold) and are written back when the run ends.
@@ -302,7 +302,7 @@ class MulticoreSimulator:
         try:
             while True:
                 if prof is not None:
-                    t0 = perf_counter()  # repro: noqa[RPR101]
+                    t0 = perf_counter()  # repro: noqa[RPR601]
                 runnable = sched.runnable_cores()
                 if not runnable:
                     break
@@ -313,13 +313,13 @@ class MulticoreSimulator:
                     break
                 if next_invocation is not None and wall >= next_invocation:
                     if prof is not None:
-                        t1 = perf_counter()  # repro: noqa[RPR101]
+                        t1 = perf_counter()  # repro: noqa[RPR601]
                         interleave_s += t1 - t0
                     decision = self.monitor.invoke(self.syscall)
                     if decision is not None:
                         decisions.append(decision.canonical())
                     if prof is not None:
-                        elapsed = perf_counter() - t1  # repro: noqa[RPR101]
+                        elapsed = perf_counter() - t1  # repro: noqa[RPR601]
                         monitor_s += elapsed
                         invocations += 1
                         if metrics is not None:
@@ -336,13 +336,13 @@ class MulticoreSimulator:
                 task = sched.current_task(core)
                 n = min(batch, task.remaining_accesses)
                 if prof is not None:
-                    t1 = perf_counter()  # repro: noqa[RPR101]
+                    t1 = perf_counter()  # repro: noqa[RPR601]
                     interleave_s += t1 - t0
                     batches += 1
                 blocks = task.generator.next_batch(n)
                 if prof is not None:
                     t0 = t1
-                    t1 = perf_counter()  # repro: noqa[RPR101]
+                    t1 = perf_counter()  # repro: noqa[RPR601]
                     trace_s += t1 - t0
                     refs += n
                 l1_hits = 0
@@ -359,7 +359,7 @@ class MulticoreSimulator:
                     result = None
                     l2_hits = l2_misses = 0
                 if prof is not None:
-                    t2 = perf_counter()  # repro: noqa[RPR101]
+                    t2 = perf_counter()  # repro: noqa[RPR601]
                     l2_s += t2 - t1
                     l2_accesses += len(blocks)
                     if miss_hist is not None:
@@ -374,7 +374,7 @@ class MulticoreSimulator:
                         result.evict_fill_pos,
                     )
                 if prof is not None:
-                    t3 = perf_counter()  # repro: noqa[RPR101]
+                    t3 = perf_counter()  # repro: noqa[RPR601]
                     signature_s += t3 - t2
                 other = 0.0
                 for c in runnable:
@@ -400,7 +400,7 @@ class MulticoreSimulator:
                     sched.context_switch(core)
                     core_time[core] += switch_cycles
                 if prof is not None:
-                    timing_s += perf_counter() - t3  # repro: noqa[RPR101]
+                    timing_s += perf_counter() - t3  # repro: noqa[RPR601]
                 if all(t.completed_once for t in self.tasks):
                     if min_wall_cycles is None or max(core_time) >= min_wall_cycles:
                         break
@@ -467,7 +467,7 @@ class MulticoreSimulator:
         closes the ``simulator.run`` span. Never called on the disabled
         path.
         """
-        elapsed = perf_counter() - run_started  # repro: noqa[RPR101]
+        elapsed = perf_counter() - run_started  # repro: noqa[RPR601]
         metrics = tel.metrics
         if metrics is not None:
             metrics.counter(

@@ -1,7 +1,7 @@
 """Shared low-level utilities: bit vectors, RNG streams, table rendering."""
 
 from repro.utils.bitvec import BitVector
-from repro.utils.rng import make_rng, spawn_rngs, stable_seed
+from repro.utils.rng import make_rng, stable_seed
 from repro.utils.tables import format_table, format_bar_chart
 from repro.utils.validation import (
     require,
@@ -13,7 +13,6 @@ from repro.utils.validation import (
 __all__ = [
     "BitVector",
     "make_rng",
-    "spawn_rngs",
     "stable_seed",
     "format_table",
     "format_bar_chart",

@@ -1,19 +1,20 @@
 """Deterministic random-number-stream management.
 
 Every stochastic component in the library draws from a
-:class:`numpy.random.Generator` produced here. Child streams are derived via
-:class:`numpy.random.SeedSequence` spawning, so two components seeded from
-the same root never share a stream and experiments replay bit-for-bit.
+:class:`numpy.random.Generator` produced here. Named streams are keyed by a
+stable digest of their root seed and name (:func:`derive_rng`), so two
+components seeded from the same root never share a stream and experiments
+replay bit-for-bit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "stable_seed", "derive_rng"]
+__all__ = ["make_rng", "stable_seed", "derive_rng"]
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 
@@ -29,24 +30,6 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Spawn *count* independent generators from a single *seed*.
-
-    The streams are independent in the ``SeedSequence`` sense: no overlap,
-    and adding or removing a consumer does not perturb the others.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Spawn through the generator's bit generator seed sequence.
-        seq = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
-    elif isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
 def stable_seed(*parts: Union[str, int]) -> int:

@@ -155,7 +155,6 @@ def test_run_specs_closes_the_journal(tmp_path):
         core2duo(),
         WorkloadSpec(kind="spec", names=("mcf", "povray"), instructions=100_000),
         mapping=[[0], [1]],
-        seed=0,
     )
     orchestrator = Orchestrator(jobs=1, journal=journal_path)
     orchestrator.run_specs([spec])

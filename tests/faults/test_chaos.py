@@ -21,10 +21,10 @@ def tiny_specs(count=2):
         make_run_spec(
             core2duo(),
             WorkloadSpec(
-                kind="spec", names=("mcf", "povray"), instructions=100_000
+                kind="spec", names=("mcf", "povray"), instructions=100_000,
+                seed=seed,
             ),
             mapping=[[0], [1]],
-            seed=seed,
         )
         for seed in range(count)
     ]

@@ -1,7 +1,8 @@
-"""The ``--flow`` CLI surface: exit codes, selection, exports, baseline.
+"""The flow half of the lint CLI: exit codes, selection, exports, baseline.
 
-Each test builds a miniature ``src/repro`` tree in a temp directory and
-drives :func:`repro.lint.cli.main` exactly as CI does.
+Every lint run includes the flow passes. Each test builds a miniature
+``src/repro`` tree in a temp directory and drives
+:func:`repro.lint.cli.main` exactly as CI does.
 """
 
 import json
@@ -47,7 +48,7 @@ def _write_tree(tmp_path, tree):
 def test_flow_findings_exit_one(tmp_path, monkeypatch, capsys):
     _write_tree(tmp_path, TAINTED_TREE)
     monkeypatch.chdir(tmp_path)
-    rc = lint_main(["src", "--flow", "--select", "RPR601"])
+    rc = lint_main(["src", "--select", "RPR601"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "RPR601" in out
@@ -59,20 +60,10 @@ def test_clean_tree_exits_zero_with_flow_summary(
 ):
     _write_tree(tmp_path, CLEAN_TREE)
     monkeypatch.chdir(tmp_path)
-    rc = lint_main(["src", "--flow"])
+    rc = lint_main(["src"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "flow: 1 modules" in out
-
-
-def test_without_flow_the_planted_chain_is_invisible(
-    tmp_path, monkeypatch, capsys
-):
-    _write_tree(tmp_path, TAINTED_TREE)
-    monkeypatch.chdir(tmp_path)
-    rc = lint_main(["src"])
-    capsys.readouterr()
-    assert rc == 0
 
 
 def test_select_unknown_code_is_a_usage_error(
@@ -80,7 +71,7 @@ def test_select_unknown_code_is_a_usage_error(
 ):
     _write_tree(tmp_path, CLEAN_TREE)
     monkeypatch.chdir(tmp_path)
-    rc = lint_main(["src", "--flow", "--select", "RPR999"])
+    rc = lint_main(["src", "--select", "RPR999"])
     out = capsys.readouterr().out
     assert rc == 2
     assert "RPR999" in out
@@ -100,8 +91,8 @@ def test_callgraph_exports_imply_flow(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     json_out = tmp_path / "callgraph.json"
     dot_out = tmp_path / "callgraph.dot"
-    # No --flow flag: the export flags alone must trigger the analysis,
-    # which also means the planted finding is reported (exit 1).
+    # The exports write the run's own call graph; the planted finding
+    # is reported in the same run (exit 1).
     rc = lint_main(
         [
             "src",
@@ -135,7 +126,7 @@ def test_update_baseline_refuses_flow_determinism_findings(
     _write_tree(tmp_path, TAINTED_TREE)
     monkeypatch.chdir(tmp_path)
     rc = lint_main(
-        ["src", "--flow", "--select", "RPR601", "--update-baseline"]
+        ["src", "--select", "RPR601", "--update-baseline"]
     )
     out = capsys.readouterr().out
     assert rc == 2
@@ -154,7 +145,7 @@ def test_baseline_filter_passes_flow_findings_through(
     )
     monkeypatch.chdir(tmp_path)
     rc = lint_main(
-        ["src", "--flow", "--select", "RPR601", "--baseline"]
+        ["src", "--select", "RPR601", "--baseline"]
     )
     out = capsys.readouterr().out
     assert rc == 1

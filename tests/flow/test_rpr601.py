@@ -1,7 +1,7 @@
-"""RPR601 — interprocedural determinism taint.
+"""RPR601 — determinism taint through call chains.
 
-The defining property of every case here: the per-file RPR1xx rules see
-nothing (the sim-core module contains no banned call lexically), yet the
+The defining property of most cases here: the sim-core module contains
+no banned call itself, so linting it alone sees nothing, yet the
 whole-program pass catches the leak through the call chain.
 """
 
@@ -39,8 +39,8 @@ def test_taint_through_one_helper_hop():
 
 
 def test_per_file_rules_provably_cannot_catch_it():
-    # The same sim-core source, under the per-file determinism rules:
-    # clean. This is the hole RPR601 exists to close.
+    # The same sim-core source linted alone, without the helper: clean.
+    # Only the program that holds both modules shows the chain.
     module, source = CORE_CALLER
     assert lint_source("model.py", source, module=module) == []
 
@@ -76,7 +76,7 @@ def test_noqa_at_source_site_detaints_the_whole_chain():
         "import time\n"
         "def stamp():\n"
         '    """Telemetry-only read."""\n'
-        "    return time.time()  # repro: noqa[RPR101]\n",
+        "    return time.time()  # repro: noqa[RPR601]\n",
     )
     assert flow_violations(helper, CORE_CALLER, select=("RPR601",)) == []
 
@@ -143,14 +143,15 @@ def test_seeded_rng_in_helper_is_not_a_source():
 
 
 def test_core_to_core_chains_are_left_to_per_file_rules():
-    # A sim-core helper that reads the clock is RPR101's finding (and
-    # indeed fires there); RPR601 only flags the boundary crossing.
+    # A sim-core helper that reads the clock is flagged at the read
+    # itself (depth 0); the core caller crosses no boundary and is not
+    # flagged again.
     helper = (
         "repro.utils.clock",
         '"""Core-internal offender."""\n'
         "import time\n"
         "def stamp():\n"
-        '    """RPR101 territory."""\n'
+        '    """Depth-0 finding."""\n'
         "    return time.time()\n",
     )
     caller = (
@@ -161,10 +162,14 @@ def test_core_to_core_chains_are_left_to_per_file_rules():
         '    """No boundary crossed."""\n'
         "    return stamp()\n",
     )
-    assert flow_violations(helper, caller, select=("RPR601",)) == []
+    violations = flow_violations(helper, caller, select=("RPR601",))
+    assert [(v.path, v.line) for v in violations] == [
+        ("src/repro/utils/clock.py", 5)
+    ]
+    assert "time.time" in violations[0].message
     module, source = helper
     assert codes_of(lint_source("clock.py", source, module=module)) == [
-        "RPR101"
+        "RPR601"
     ]
 
 

@@ -1,8 +1,8 @@
 """RPR602 — transitive async-blocking in the service package.
 
-Every flagged case is invisible to the lexical RPR501 (the coroutine
-contains no blocking call itself), including the alias spellings —
-which RPR501 *does* catch when they are lexical, a regression pinned in
+Every flagged case here is a chain: the coroutine contains no blocking
+call itself, including the alias spellings — which RPR602 also catches
+in the coroutine's own body, pinned in
 ``tests/lint/test_service_rules.py``.
 """
 
@@ -41,6 +41,8 @@ def test_one_hop_blocking_chain_flags():
 
 
 def test_per_file_rpr501_provably_cannot_catch_it():
+    # Linted alone, without the helper, the coroutine is clean: only the
+    # program that holds both modules shows the chain.
     module, source = ASYNC_CALLER
     assert lint_source("loop.py", source, module=module) == []
 
@@ -118,7 +120,7 @@ def test_noqa_at_blocking_site_waives_the_chain():
         "import time\n"
         "def settle():\n"
         '    """Bounded, single-consumer stall by design."""\n'
-        "    time.sleep(0.001)  # repro: noqa[RPR501]\n",
+        "    time.sleep(0.001)  # repro: noqa[RPR602]\n",
     )
     assert flow_violations(helper, ASYNC_CALLER, select=("RPR602",)) == []
 
@@ -136,9 +138,9 @@ def test_coroutines_outside_service_are_not_roots():
 
 
 def test_nested_sync_def_called_inline_still_flags():
-    # RPR501's escape hatch assumes the nested def runs off-loop; when
-    # the coroutine calls it INLINE the stall is real, and only the
-    # call-graph sees that.
+    # A nested def is its own scope because it usually runs off-loop;
+    # when the coroutine calls it INLINE the stall is real, and the
+    # call graph sees that.
     caller = (
         "repro.service.loop",
         '"""Nested helper abused inline."""\n'
@@ -151,7 +153,9 @@ def test_nested_sync_def_called_inline_still_flags():
         "    helper()\n",
     )
     violations = flow_violations(caller, select=("RPR602",))
-    assert codes_of(violations) == ["RPR602"]
-    # And the per-file rule is structurally blind to it:
+    assert [(v.code, v.line) for v in violations] == [("RPR602", 8)]
+    # Linting the file alone reports the same chain: it stays inside
+    # the one module.
     module, source = caller
-    assert lint_source("loop.py", source, module=module) == []
+    flagged = lint_source("loop.py", source, module=module)
+    assert [(v.code, v.line) for v in flagged] == [("RPR602", 8)]

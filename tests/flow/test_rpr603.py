@@ -1,8 +1,7 @@
-"""RPR603 — cross-function fsync-before-rename.
+"""RPR603 — fsync-before-rename across functions.
 
-The per-file RPR201/RPR502 rules check one function at a time; these
-cases split the fsync and the rename across functions and modules, so
-only the spliced whole-program event stream can order them.
+These cases split the fsync and the rename across functions and
+modules, so only the spliced whole-program event stream can order them.
 """
 
 from tests.flow.conftest import codes_of, flow_violations
@@ -10,9 +9,9 @@ from tests.flow.conftest import codes_of, flow_violations
 from repro.lint import lint_source
 
 #: A publish helper OUTSIDE the durable packages. It uses ``os.rename``
-#: deliberately: RPR201 only audits ``os.replace`` (everywhere) and
-#: RPR502 only applies inside the durable packages, so this spelling in
-#: this module is invisible to every per-file rule.
+#: deliberately: at depth 0 RPR603 audits ``os.replace`` everywhere but
+#: the other spellings only inside the durable packages, so this
+#: spelling in this module is seen only through its durable callers.
 NAKED_PUBLISHER = (
     "repro.io.atomic",
     '"""Publish helper outside the durable scope."""\n'
@@ -43,8 +42,8 @@ def test_unsynced_helper_rename_flags_at_durable_root():
 
 
 def test_per_file_rules_provably_cannot_catch_it():
-    # The durable module has no rename; the helper module is outside
-    # RPR502's scope (and fsyncless os.replace there is legal).
+    # The durable module has no rename, and the helper's os.rename is
+    # outside the durable scope: linted one at a time, both are clean.
     caller_module = "repro.durable.store"
     caller_source = (
         '"""Durable code delegating its publish."""\n'
@@ -115,18 +114,23 @@ def test_fsync_after_the_call_does_not_excuse_it():
 
 
 def test_direct_rename_in_durable_root_is_left_to_per_file_rules():
+    # A direct rename is the depth-0 finding, at the rename itself.
     caller = (
         "repro.durable.store",
-        '"""Direct rename — RPR502/RPR201 territory, not RPR603."""\n'
+        '"""Direct rename in a durable module."""\n'
         "import os\n"
         "def save(tmp, final):\n"
-        '    """Direct, unsynced — but per-file rules own this."""\n'
+        '    """Direct and unsynced."""\n'
         "    os.rename(tmp, final)\n",
     )
-    assert flow_violations(caller, select=("RPR603",)) == []
-    # ...and the per-file rule does fire on it:
+    violations = flow_violations(caller, select=("RPR603",))
+    assert [(v.path, v.line) for v in violations] == [
+        ("src/repro/durable/store.py", 5)
+    ]
     module, source = caller
-    assert "RPR502" in codes_of(lint_source("s.py", source, module=module))
+    assert codes_of(lint_source("s.py", source, module=module)) == [
+        "RPR603"
+    ]
 
 
 def test_recursive_chain_terminates():
@@ -151,19 +155,24 @@ def test_recursive_chain_terminates():
         "    a(tmp, final)\n",
     )
     violations = flow_violations(helper, caller, select=("RPR603",))
-    assert codes_of(violations) == ["RPR603"]
+    # The helper's own unsynced os.replace (depth 0) and the durable
+    # caller that reaches it.
+    assert [(v.path, v.line) for v in violations] == [
+        ("src/repro/durable/store.py", 5),
+        ("src/repro/io/atomic.py", 9),
+    ]
 
 
 def test_waived_helper_rename_is_not_a_publish():
     # Moving a corrupt file aside publishes nothing trusted: the helper's
-    # own RPR201 waiver covers every durable caller too.
+    # own RPR603 waiver covers every durable caller too.
     helper = (
         "repro.io.atomic",
         '"""Helper that moves corrupt files aside."""\n'
         "import os\n"
         "def move_aside(path, target):\n"
         '    """Best-effort evidence rename."""\n'
-        "    os.replace(path, target)  # repro: noqa[RPR201]\n",
+        "    os.replace(path, target)  # repro: noqa[RPR603]\n",
     )
     caller = (
         "repro.durable.store",
@@ -174,6 +183,9 @@ def test_waived_helper_rename_is_not_a_publish():
         "    move_aside(path, target)\n",
     )
     assert flow_violations(helper, caller, select=("RPR603",)) == []
-    unwaived = (helper[0], helper[1].replace("  # repro: noqa[RPR201]", ""))
+    unwaived = (helper[0], helper[1].replace("  # repro: noqa[RPR603]", ""))
     violations = flow_violations(unwaived, caller, select=("RPR603",))
-    assert codes_of(violations) == ["RPR603"]
+    assert [(v.path, v.line) for v in violations] == [
+        ("src/repro/durable/store.py", 5),
+        ("src/repro/io/atomic.py", 5),
+    ]

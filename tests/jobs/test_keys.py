@@ -25,7 +25,6 @@ def small_spec(seed=0):
             kind="spec", names=("mcf", "povray"), instructions=100_000, seed=seed
         ),
         monitor=MonitorSpec.make("weight_sort", {}),
-        seed=seed,
     )
 
 

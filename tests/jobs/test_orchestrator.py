@@ -24,9 +24,9 @@ def tiny_spec(names=("mcf", "povray"), seed=0):
     """A cheap pinned-mapping measurement spec."""
     return make_run_spec(
         core2duo(),
-        WorkloadSpec(kind="spec", names=tuple(names), instructions=100_000),
+        WorkloadSpec(kind="spec", names=tuple(names), instructions=100_000,
+                     seed=seed),
         mapping=[[0], [1]],
-        seed=seed,
     )
 
 

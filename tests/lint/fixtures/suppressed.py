@@ -1,6 +1,6 @@
 """Fixture: suppression comments — line, file, and malformed.
 
-The file-level waiver covers RPR202; the line waivers cover one RPR101
+The file-level waiver covers RPR202; the line waivers cover one RPR601
 site; the unsuppressed datetime.now() and the blanket noqa must still
 be reported.
 """
@@ -12,8 +12,8 @@ from time import perf_counter
 
 def timed():
     """One waived clock read, one live one, one blanket comment."""
-    t0 = perf_counter()  # repro: noqa[RPR101] — telemetry-only timing
-    stamp = datetime.now()  # still RPR101: not waived
+    t0 = perf_counter()  # repro: noqa[RPR601] — telemetry-only timing
+    stamp = datetime.now()  # still RPR601: not waived
     try:
         return t0, stamp
     except:  # waived by the file-level noqa-file[RPR202]

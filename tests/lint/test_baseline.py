@@ -31,8 +31,19 @@ def test_split_counts_are_a_ratchet():
 
 def test_determinism_codes_can_never_be_baselined():
     with pytest.raises(ConfigurationError) as err:
-        Baseline.from_violations([_v("RPR101")])
-    assert "RPR101" in str(err.value)
+        Baseline.from_violations([_v("RPR104")])
+    assert "RPR104" in str(err.value)
+
+
+def test_flow_codes_can_never_be_baselined():
+    for code in ("RPR601", "RPR602", "RPR603", "RPR604"):
+        with pytest.raises(ConfigurationError):
+            Baseline.from_violations([_v(code)])
+    # Nor does a hand-edited baseline absorb one.
+    forged = Baseline({("src/repro/jobs/x.py", "RPR602", "do()"): 1})
+    new, baselined = forged.split([_v("RPR602")])
+    assert [v.code for v in new] == ["RPR602"]
+    assert baselined == []
 
 
 def test_round_trip_and_missing_file(tmp_path):

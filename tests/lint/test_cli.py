@@ -31,7 +31,7 @@ def test_determinism_rules_fire_via_cli_on_src_layout(tmp_path, capsys):
     rc = main([str(planted)])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "RPR101" in out
+    assert "RPR601" in out
 
 
 def test_exit_zero_on_src_repro_with_committed_baseline(capsys, repo_root):
@@ -94,5 +94,9 @@ def test_update_baseline_then_gate_is_clean(tmp_path, capsys):
 def test_list_rules_prints_catalogue(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("RPR101", "RPR201", "RPR301", "RPR401"):
+    for code in ("RPR104", "RPR202", "RPR301", "RPR401", "RPR601"):
         assert code in out
+    # One rule per invariant: the per-file twins of RPR601-RPR603 are gone.
+    for code in ("RPR101", "RPR102", "RPR103", "RPR201", "RPR501",
+                 "RPR502"):
+        assert code not in out

@@ -1,4 +1,4 @@
-"""RPR5xx service-responsiveness rules: blocking calls in coroutines."""
+"""RPR602 at depth 0: blocking calls in service coroutines."""
 
 from tests.lint.conftest import codes_of
 
@@ -8,7 +8,9 @@ SERVICE_MODULE = "repro.service._lint_fixture"
 
 def test_blocking_fixture_flags_every_call(lint_fixture):
     violations = lint_fixture("svc_async_bad.py", module=SERVICE_MODULE)
-    assert codes_of(violations) == ["RPR501", "RPR501", "RPR501", "RPR501"]
+    assert [(v.code, v.line) for v in violations] == [
+        ("RPR602", line) for line in (13, 14, 15, 21)
+    ]
 
 
 def test_sanctioned_patterns_are_clean(lint_fixture):
@@ -45,12 +47,14 @@ def test_alias_spellings_still_flag(lint_fixture):
     violations = lint_fixture(
         "svc_async_alias_bad.py", module=SERVICE_MODULE
     )
-    assert codes_of(violations) == ["RPR501", "RPR501"]
+    assert [(v.code, v.line) for v in violations] == [
+        ("RPR602", 14), ("RPR602", 19),
+    ]
 
 
 def test_aliased_helper_is_subsumed_by_the_flow_pass():
-    # One call hop is enough to blind RPR501; RPR602 closes the gap and
-    # still sees through the alias spelling inside the helper.
+    # One call hop away from the coroutine, RPR602 still flags the call
+    # and sees through the alias spelling inside the helper.
     from repro.flow import Program, run_flow
     from repro.lint.registry import all_flow_rules
 
@@ -86,4 +90,4 @@ def test_service_package_itself_is_clean():
 
     root = Path(__file__).resolve().parents[2] / "src" / "repro" / "service"
     result = lint_paths([root])
-    assert [v for v in result.violations if v.code.startswith("RPR5")] == []
+    assert [v for v in result.violations if v.code == "RPR602"] == []

@@ -7,10 +7,12 @@ from repro.lint import lint_source
 
 def test_suppressed_fixture_mixes_waived_and_live(lint_fixture):
     violations = lint_fixture("suppressed.py")
-    # The file-level RPR202 waiver and the line-level RPR101 noqa hold;
+    # The file-level RPR202 waiver and the line-level RPR601 noqa hold;
     # the un-annotated datetime.now() stays live and the blanket noqa is
     # itself reported as malformed.
-    assert codes_of(violations) == ["RPR002", "RPR101"]
+    assert [(v.code, v.line) for v in violations] == [
+        ("RPR601", 16), ("RPR002", 21),
+    ]
 
 
 def test_line_noqa_only_covers_its_own_code():
@@ -22,19 +24,19 @@ def test_line_noqa_only_covers_its_own_code():
         "    return time.time()  # repro: noqa[RPR999]\n"
     )
     flagged = lint_source("m.py", source, module="repro.core._fx")
-    assert codes_of(flagged) == ["RPR101"]
+    assert codes_of(flagged) == ["RPR601"]
 
 
 def test_noqa_in_docstring_is_not_a_suppression():
     source = (
-        '"""Mentions # repro: noqa[RPR101] in prose only."""\n'
+        '"""Mentions # repro: noqa[RPR601] in prose only."""\n'
         "import time\n"
         "def stamp():\n"
         '    """Read the clock."""\n'
         "    return time.time()\n"
     )
     flagged = lint_source("m.py", source, module="repro.core._fx")
-    assert codes_of(flagged) == ["RPR101"]
+    assert codes_of(flagged) == ["RPR601"]
 
 
 def test_parse_error_reports_rpr001():

@@ -33,10 +33,10 @@ def tiny_spec(seed=0):
     return make_run_spec(
         core2duo(),
         WorkloadSpec(
-            kind="spec", names=("mcf", "povray"), instructions=100_000
+            kind="spec", names=("mcf", "povray"), instructions=100_000,
+            seed=seed,
         ),
         mapping=[[0], [1]],
-        seed=seed,
     )
 
 
@@ -176,7 +176,7 @@ def test_resumed_sweep_skips_quarantined_specs(tmp_path):
     """Quarantine + journal: resume executes nothing, names the poison."""
 
     def fail_odd_seeds(payload):
-        if payload["seed"] % 2:
+        if payload["workload"]["seed"] % 2:
             raise RuntimeError("poison parameters")
         return execute_spec(payload)
 

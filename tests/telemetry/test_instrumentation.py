@@ -31,7 +31,6 @@ def tiny_spec():
             kind="spec", names=("mcf", "povray"), instructions=100_000
         ),
         mapping=[[0], [1]],
-        seed=0,
     )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_rng, make_rng, spawn_rngs, stable_seed
+from repro.utils.rng import derive_rng, make_rng, stable_seed
 
 
 class TestMakeRng:
@@ -31,31 +31,6 @@ class TestMakeRng:
         a = make_rng(None).integers(0, 1 << 62, 4)
         b = make_rng(None).integers(0, 1 << 62, 4)
         assert not np.array_equal(a, b)
-
-
-class TestSpawnRngs:
-    def test_streams_are_independent_and_reproducible(self):
-        first = [g.integers(0, 1 << 30, 5) for g in spawn_rngs(9, 3)]
-        second = [g.integers(0, 1 << 30, 5) for g in spawn_rngs(9, 3)]
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
-        assert not np.array_equal(first[0], first[1])
-
-    def test_count_zero(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_from_generator(self):
-        gen = np.random.default_rng(5)
-        children = spawn_rngs(gen, 2)
-        assert len(children) == 2
-
-    def test_spawn_from_seed_sequence(self):
-        children = spawn_rngs(np.random.SeedSequence(5), 2)
-        assert len(children) == 2
 
 
 class TestStableSeed:
