@@ -2,7 +2,8 @@
 
 Prints the subsystem inventory, then runs a miniature end-to-end pipeline
 (signature gathering -> allocation decision -> measured improvement) to
-confirm the installation works.
+confirm the installation works, and which exact-engine path ran: the
+compiled kernel and its file, or numpy and the reason.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import sys
 
 import repro
+from repro import native
 from repro.alloc import UserLevelMonitor, WeightedInterferenceGraphPolicy
 from repro.cache.config import CacheConfig, CacheGeometry
 from repro.core.signature import SignatureConfig
@@ -92,6 +94,7 @@ def self_check() -> int:
         for g in result.majority_mapping.groups
     )
     print(f"self-check: {len(result.decisions)} decisions, majority: {groups}")
+    print(f"engine: {native.describe()}")
     print("self-check PASSED")
     return 0
 

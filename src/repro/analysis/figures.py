@@ -306,8 +306,10 @@ def table1_mapping_runtimes(
 ) -> Tuple[List[str], Dict]:
     """Table 1: povray/gobmk/libquantum/hmmer under all three mappings.
 
-    *backend* routes every mapping measurement through the selected
-    simulation backend (see :mod:`repro.estimate`).
+    Mappings are in index space (task ``i`` is ``names[i]``), as in the
+    other drivers, so the result does not depend on how many tasks the
+    process built before. *backend* routes every mapping measurement
+    through the selected simulation backend (see :mod:`repro.estimate`).
     """
     machine = machine or core2duo()
     names = ["povray", "gobmk", "libquantum", "hmmer"]
@@ -316,7 +318,13 @@ def table1_mapping_runtimes(
         machine, tasks, seed=seed, batch_accesses=batch_accesses,
         backend=backend, estimator=estimator,
     )
-    return names, times
+    index = {task.tid: i for i, task in enumerate(tasks)}
+    return names, {
+        canonical_mapping([[index[t] for t in group] for group in mapping.groups]): (
+            task_times
+        )
+        for mapping, task_times in times.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,22 @@ Performance notes (this is the simulation hot loop):
   access; empty lines keep stamp 0, below every valid stamp, so the first
   minimum of a row is the lowest empty way, else the least recently used
   line of a full set.
-* :meth:`access_batch` runs in *rounds*: round *r* holds each set's
-  *r*-th reference of the batch, so the sets of one round are distinct and
-  the round is one vectorised step (gather the set rows, find each hit
-  way or victim with one ``argmin``, write tags and stamps). A batch whose
-  references all fall in distinct sets is a single round. Stamps are the
-  references' positions on a global clock, so rounds reproduce strictly
-  sequential LRU exactly; the event arrays are reassembled in access
-  order and the filled lines' owners written once per batch.
+* :meth:`access_batch` runs the compiled ``lru_batch`` kernel
+  (:mod:`repro.native`) when the process has it: one C loop over the
+  batch, reference by reference, over the same arrays (the cache takes
+  its pointers to them once, at construction; nothing reassigns them and
+  :meth:`~SetAssociativeCache.reset` fills them in place). It writes the
+  five event arrays into one fresh ``(5, n)`` buffer, and rejects a batch
+  holding a negative block before any state moves.
+* Without the kernel, the numpy reference path runs the batch in
+  *rounds*: round *r* holds each set's *r*-th reference of the batch, so
+  the sets of one round are distinct and the round is one vectorised step
+  (gather the set rows, find each hit way or victim with one ``argmin``,
+  write tags and stamps). A batch whose references all fall in distinct
+  sets is a single round. Stamps are the references' positions on a
+  global clock, so rounds reproduce strictly sequential LRU exactly; the
+  event arrays are reassembled in access order and the filled lines'
+  owners written once per batch. Both paths give byte-identical results.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.cache.config import CacheConfig
 from repro.cache.stats import CacheStats
 from repro.errors import ConfigurationError
@@ -102,6 +111,19 @@ class SetAssociativeCache:
         self._slot_owner = self._tag_owner.reshape(-1)
         self._slot_stamps = self._stamps.reshape(-1)
         self.stats = CacheStats(num_cores=self.num_cores)
+        kernels = native.load()
+        self._lru_batch = None
+        if kernels is not None:
+            ffi = self._ffi = kernels.ffi
+            self._lru_batch = kernels.lib.lru_batch
+            self._lru_state = (
+                ffi.from_buffer("int64_t[]", self._slot_tags),
+                ffi.from_buffer("int64_t[]", self._slot_stamps),
+                ffi.from_buffer("int64_t[]", self._slot_owner),
+                self._set_mask,
+                self.ways,
+            )
+            self._lru_counts = ffi.new("int64_t[2]")
 
     # ------------------------------------------------------------------
     # queries
@@ -145,14 +167,42 @@ class SetAssociativeCache:
             raise ConfigurationError(
                 f"core {core} out of range for {self.num_cores}-core cache"
             )
-        blocks = np.asarray(blocks, dtype=np.int64)
-        if len(blocks) and blocks.min() < 0:
-            raise ConfigurationError(
-                f"negative block address {int(blocks.min())} in access batch"
-            )
-        result = self._access_batch_lru(core, blocks)
+        if self._lru_batch is not None:
+            result = self._access_batch_native(core, blocks)
+        else:
+            blocks = np.asarray(blocks, dtype=np.int64)
+            if len(blocks) and blocks.min() < 0:
+                raise ConfigurationError(
+                    f"negative block address {int(blocks.min())} in access batch"
+                )
+            result = self._access_batch_lru(core, blocks)
         self.stats.record(core, result.hits, result.misses, len(result.evictions))
         return result
+
+    def _access_batch_native(self, core: int, blocks: np.ndarray) -> AccessResult:
+        blocks = np.ascontiguousarray(blocks, dtype=np.int64)
+        n = len(blocks)
+        out = np.empty((5, n), dtype=np.int64)
+        ffi, counts = self._ffi, self._lru_counts
+        if self._lru_batch(
+            *self._lru_state, self._clock, core,
+            ffi.from_buffer("int64_t[]", blocks), n,
+            ffi.from_buffer("int64_t[]", out), counts,
+        ):
+            raise ConfigurationError(
+                f"negative block address {counts[0]} in access batch"
+            )
+        self._clock += n
+        fills, evictions = counts[0], counts[1]
+        return AccessResult(
+            hits=n - fills,
+            misses=fills,
+            fills=out[0, :fills],
+            fill_slots=out[1, :fills],
+            evictions=out[2, :evictions],
+            evict_slots=out[3, :evictions],
+            evict_fill_pos=out[4, :evictions],
+        )
 
     def _access_batch_lru(self, core: int, blocks: np.ndarray) -> AccessResult:
         n = len(blocks)

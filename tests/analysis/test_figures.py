@@ -22,6 +22,7 @@ from repro.perf.experiment import (
     PairwiseResult,
     SweepResult,
 )
+from repro.perf.runner import build_tasks
 from repro.sched.affinity import canonical_mapping
 
 
@@ -86,6 +87,20 @@ class TestTable1:
         assert len(times) == 3
         text = render_table1(names, times, clock_hz=2.6e9)
         assert "povray" in text and "Table 1" in text
+
+    def test_keys_are_task_indices_whatever_the_process_built(self):
+        names, fresh = table1_mapping_runtimes(instructions=100_000)
+        build_tasks(["mcf", "astar"] * 3, instructions=1_000)
+        _, later = table1_mapping_runtimes(instructions=100_000)
+        assert list(later) == [
+            canonical_mapping([[0, 1], [2, 3]]),
+            canonical_mapping([[0, 2], [1, 3]]),
+            canonical_mapping([[0, 3], [1, 2]]),
+        ]
+        assert later == fresh
+        assert render_table1(names, later, 2.6e9) == render_table1(
+            names, fresh, 2.6e9
+        )
 
 
 class TestRenderers:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import tiny_cache
 from repro.errors import ConfigurationError
+from tests.engines import available_engines, on_engine
 
 
 def small_cache(sets=4, ways=2, cores=2):
@@ -137,21 +138,53 @@ class TestPaperFigure1:
 
 
 class TestNegativeBlocks:
-    """-1 marks an invalid line, so the cache rejects negative blocks."""
+    """-1 marks an invalid line, so the cache rejects negative blocks,
+    on every engine path, before any state moves."""
 
     def test_cold_cache_rejects_minus_one(self):
-        c = small_cache()
-        with pytest.raises(ConfigurationError):
-            c.access_batch(0, np.array([-1]))
-        assert c.footprint_lines() == 0
-        assert c.stats.total_accesses == 0
-        assert not c.contains(-1)
+        for engine in available_engines():
+            with on_engine(engine):
+                c = small_cache()
+            with pytest.raises(ConfigurationError):
+                c.access_batch(0, np.array([-1]))
+            assert c.footprint_lines() == 0
+            assert c.stats.total_accesses == 0
+            assert not c.contains(-1)
 
     def test_negative_anywhere_in_batch_rejected(self):
-        c = small_cache()
-        with pytest.raises(ConfigurationError):
-            c.access_batch(0, np.array([3, 7, -5]))
-        assert c.footprint_lines() == 0
+        for engine in available_engines():
+            with on_engine(engine):
+                c = small_cache()
+            with pytest.raises(ConfigurationError):
+                c.access_batch(0, np.array([3, 7, -5]))
+            assert c.footprint_lines() == 0
+
+    def test_rejected_batch_leaves_a_warm_cache_unchanged(self):
+        for engine in available_engines():
+            with on_engine(engine):
+                c = small_cache(sets=2, ways=2)
+            c.access_batch(1, np.array([0, 1, 2, 3, 0, 5]))
+            before = _state(c)
+            # The blocks ahead of the negative ones would hit, fill and
+            # evict; the message names the batch's minimum.
+            with pytest.raises(
+                ConfigurationError,
+                match=r"negative block address -9 in access batch",
+            ):
+                c.access_batch(0, np.array([0, 6, 8, -2, 4, -9, 1]))
+            after = _state(c)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+            # The next batch carries on from the same clock.
+            assert c.access_batch(0, np.array([6])).misses == 1
+            assert c._clock == before[3] + 1
+
+
+def _state(cache):
+    """Everything a rejected batch must leave as it was."""
+    return (
+        cache._tags.copy(), cache._stamps.copy(), cache._tag_owner.copy(),
+        cache._clock, cache.stats.total_accesses,
+    )
 
 
 class ReferenceLRUCache:

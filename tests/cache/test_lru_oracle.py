@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import tiny_cache
+from tests.engines import available_engines, on_engine
 
 
 class OracleLRU:
@@ -124,6 +125,11 @@ class TestBatchesAgainstOracle:
     @example((1, 2, 1, [(0, [0, 1]), None, (0, [5, 6, 7])]))
     @example((1, 2, 1, [(0, [0, 1, 0]), None, (0, [5, 6, 7])]))
     def test_every_batch_matches(self, scenario):
+        for engine in available_engines():
+            with on_engine(engine):
+                self.check_scenario(scenario)
+
+    def check_scenario(self, scenario):
         sets, ways, cores, batches = scenario
         cache = SetAssociativeCache(tiny_cache(sets=sets, ways=ways), num_cores=cores)
         oracle = OracleLRU(sets, ways, cores)

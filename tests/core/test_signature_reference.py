@@ -10,16 +10,20 @@ when the counter is zero) — and the context-switch sample
 counter once. Small filters, 1- to 3-bit counters and block pools of a
 few addresses make batches saturate and underflow.
 
-Two paths are checked: the vectorised batches the simulator runs, and
-the ``exact=True`` scalar path fed one event per call.
+Two paths are checked: the batches the simulator runs, on the compiled
+kernel (which every k = 1 configuration here takes) and on the numpy
+code, and the ``exact=True`` scalar path fed one event per call. Events
+arrive as plain lists, as well as the int64 arrays the cache produces.
 """
 
 import dataclasses
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.signature import SignatureConfig, SignatureStats, SignatureUnit
+from tests.engines import available_engines, on_engine
 
 _U64 = (1 << 64) - 1
 #: The salts of hash functions 0 and 1 (function 0 is unsalted).
@@ -143,14 +147,25 @@ def test_batches_match_the_per_event_model(
         counter_bits=counter_bits,
         num_hashes=num_hashes,
     )
-    unit = SignatureUnit(config)
-    ref = NaiveUnit(cores, unit.num_entries, counter_bits, num_hashes)
-    for core, fills, evictions, switches in batches:
-        unit.record_events(core, fills, None, evictions, None)
-        ref.record(core, fills, evictions)
-        for switched in switches:
-            _assert_same_sample(unit, ref, switched)
-        _assert_same_state(unit, ref)
+    for engine in available_engines():
+        with on_engine(engine):
+            unit = SignatureUnit(config)
+        assert (unit._cbf_events is not None) == (
+            engine == "kernel" and num_hashes == 1
+        )
+        ref = NaiveUnit(cores, unit.num_entries, counter_bits, num_hashes)
+        for i, (core, fills, evictions, switches) in enumerate(batches):
+            if i % 2:
+                unit.record_events(
+                    core, np.asarray(fills, dtype=np.int64), None,
+                    np.asarray(evictions, dtype=np.int64), None,
+                )
+            else:
+                unit.record_events(core, fills, None, evictions, None)
+            ref.record(core, fills, evictions)
+            for switched in switches:
+                _assert_same_sample(unit, ref, switched)
+            _assert_same_state(unit, ref)
 
 
 @st.composite
