@@ -29,10 +29,7 @@ def _tracking_error(entries_multiplier: int, steps: int = 60) -> float:
         for core, gen in ((0, reuser), (1, streamer)):
             blocks = gen.next_batch(512)
             r = cache.access_batch(core, blocks)
-            unit.record_events(
-                core, r.fills, r.fill_slots, r.evictions, r.evict_slots,
-                r.evict_fill_pos,
-            )
+            unit.record_events(core, r.fills, r.fill_slots, r.evictions, r.evict_slots)
         truth = int(cache.occupancy_by_core()[0])
         errors.append(abs(unit.core_occupancy(0) - truth) / max(truth, 1))
     return float(np.mean(errors))

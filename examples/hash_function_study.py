@@ -30,10 +30,7 @@ def drive(unit: SignatureUnit, cache: SetAssociativeCache, steps: int = 40):
         for core, gen in ((0, reuser), (1, streamer)):
             blocks = gen.next_batch(512)
             r = cache.access_batch(core, blocks)
-            unit.record_events(
-                core, r.fills, r.fill_slots, r.evictions, r.evict_slots,
-                r.evict_fill_pos,
-            )
+            unit.record_events(core, r.fills, r.fill_slots, r.evictions, r.evict_slots)
         true_resident = int(cache.occupancy_by_core()[0])
         measured = unit.core_occupancy(0)
         errors.append(abs(measured - true_resident) / max(true_resident, 1))

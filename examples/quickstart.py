@@ -43,7 +43,6 @@ def manual_signature_demo() -> None:
             result.fill_slots,
             result.evictions,
             result.evict_slots,
-            result.evict_fill_pos,
         )
 
     for core in (0, 1):

@@ -1,7 +1,6 @@
 """Result handling: figure series builders, fairness metrics, persistence,
 paper-style report rendering."""
 
-from repro.analysis.export import counter_series_to_csv, sweep_to_csv, write_csv
 from repro.analysis.fairness import (
     fairness_report,
     jain_index,
@@ -37,9 +36,6 @@ from repro.analysis.results import (
 )
 
 __all__ = [
-    "counter_series_to_csv",
-    "sweep_to_csv",
-    "write_csv",
     "fairness_report",
     "jain_index",
     "slowdowns",

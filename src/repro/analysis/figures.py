@@ -214,7 +214,6 @@ def figure2_counters_vs_footprint(
             result.fill_slots,
             result.evictions,
             result.evict_slots,
-            result.evict_fill_pos,
         )
         return result.misses
 

@@ -20,7 +20,7 @@ Performance notes (this is the simulation hot loop):
   batch, reference by reference, over the same arrays (the cache takes
   its pointers to them once, at construction; nothing reassigns them and
   :meth:`~SetAssociativeCache.reset` fills them in place). It writes the
-  five event arrays into one fresh ``(5, n)`` buffer, and rejects a batch
+  four event arrays into one fresh ``(4, n)`` buffer, and rejects a batch
   holding a negative block before any state moves.
 * Without the kernel, the numpy reference path runs the batch in
   *rounds*: round *r* holds each set's *r*-th reference of the batch, so
@@ -61,10 +61,8 @@ class AccessResult:
         Block addresses inserted by misses and their physical slots
         (``set*ways + way``), in access order.
     evictions, evict_slots:
-        Replaced block addresses and their slots, in eviction order.
-    evict_fill_pos:
-        For each eviction, the index into ``fills`` of the miss that caused
-        it — lets exact-mode consumers replay the true interleaving.
+        Replaced block addresses and their slots, in eviction order (each
+        made room for the fill in the same slot).
     """
 
     hits: int
@@ -73,7 +71,6 @@ class AccessResult:
     fill_slots: np.ndarray
     evictions: np.ndarray
     evict_slots: np.ndarray
-    evict_fill_pos: np.ndarray
 
     @property
     def accesses(self) -> int:
@@ -182,7 +179,7 @@ class SetAssociativeCache:
     def _access_batch_native(self, core: int, blocks: np.ndarray) -> AccessResult:
         blocks = np.ascontiguousarray(blocks, dtype=np.int64)
         n = len(blocks)
-        out = np.empty((5, n), dtype=np.int64)
+        out = np.empty((4, n), dtype=np.int64)
         ffi, counts = self._ffi, self._lru_counts
         if self._lru_batch(
             *self._lru_state, self._clock, core,
@@ -201,7 +198,6 @@ class SetAssociativeCache:
             fill_slots=out[1, :fills],
             evictions=out[2, :evictions],
             evict_slots=out[3, :evictions],
-            evict_fill_pos=out[4, :evictions],
         )
 
     def _access_batch_lru(self, core: int, blocks: np.ndarray) -> AccessResult:
@@ -247,7 +243,6 @@ class SetAssociativeCache:
             fill_slots=fill_slots,
             evictions=replaced.take(evicting),
             evict_slots=fill_slots.take(evicting),
-            evict_fill_pos=evicting,
         )
 
     def _lru_round(

@@ -105,13 +105,6 @@ class PrefetchingCache:
             fill_slots=np.concatenate([demand.fill_slots, prefetch.fill_slots]),
             evictions=np.concatenate([demand.evictions, prefetch.evictions]),
             evict_slots=np.concatenate([demand.evict_slots, prefetch.evict_slots]),
-            # Prefetch evictions follow every demand fill.
-            evict_fill_pos=np.concatenate(
-                [
-                    demand.evict_fill_pos,
-                    np.full(len(prefetch.evictions), len(demand.fills)),
-                ]
-            ),
         )
 
     def contains(self, block: int) -> bool:

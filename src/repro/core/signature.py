@@ -31,21 +31,21 @@ Two indexing schemes are supported:
 
 Batching
 --------
-``exact=False`` (default) applies a batch of events vectorised: all fills
-first (increments + CF sets), then all evictions (decrements +
-zero-clearing). Fills-first matters: a line filled *and* evicted within
-the same batch then nets to zero exactly as in strict order, whereas
-evictions-first would clamp its decrement at zero and leave a phantom
-counter/CF bit. The residual drift vs strict order is limited to
-counter-saturation timing within a batch and vanishes at batch size 1
-(property-tested). ``exact=True`` processes events strictly in order for
-validation.
+The unit records one cache batch at a time, vectorised: all fills first
+(increments + CF sets), then all evictions (decrements + zero-clearing).
+Fills-first matters: a line filled *and* evicted within the same batch
+then nets to zero exactly as in strict order, whereas evictions-first
+would clamp its decrement at zero and leave a phantom counter/CF bit.
+The residual drift vs strict order is limited to when, within a batch,
+a counter clamps or reaches zero, and it vanishes when each call records
+one event: the unit then follows the true event order (property-tested
+against a per-event model).
 
 The configuration the simulator runs by default (XOR fold, k = 1, no set
-sampling, clamping counters, batched) records each batch with the
-compiled ``cbf_events`` kernel (:mod:`repro.native`) when the process
-has it, over the same counter and Core Filter arrays; every other
-configuration, the kernel-less process and the public
+sampling) records each batch with the compiled ``cbf_events`` kernel
+(:mod:`repro.native`) when the process has it, over the same counter
+and Core Filter arrays; every other configuration, the kernel-less
+process and the public
 :meth:`~SignatureUnit.record_fill_batch` /
 :meth:`~SignatureUnit.record_eviction_batch` run the numpy code, which
 is the kernel's reference.
@@ -63,7 +63,7 @@ from repro.core.context import SignatureSample
 from repro.core.hashes import HashFunction, make_hash_family
 from repro.core.metrics import running_bit_vector, symbiosis_vector
 from repro.core.sampling import SetSampler
-from repro.errors import ConfigurationError, CounterSaturationError, SignatureError
+from repro.errors import ConfigurationError, SignatureError
 from repro.utils.bitvec import BitVector
 from repro.utils.validation import (
     is_power_of_two,
@@ -347,10 +347,6 @@ class SignatureConfig:
         no scheduling signal.
     sampling_denominator:
         Set-sampling ratio denominator (Section 5.4); 4 = 25% sampling.
-    strict_saturation:
-        Raise on counter saturation/underflow instead of clamping.
-    exact:
-        Process events strictly in order (validation mode).
     """
 
     num_cores: int
@@ -360,8 +356,6 @@ class SignatureConfig:
     num_hashes: int = 1
     hash_kind: str = "xor"
     sampling_denominator: int = 1
-    strict_saturation: bool = False
-    exact: bool = False
 
     def __post_init__(self) -> None:
         require_positive(self.num_cores, "num_cores")
@@ -442,8 +436,6 @@ class SignatureUnit:
             config.hash_kind == "xor"
             and config.num_hashes == 1
             and config.sampling_denominator == 1
-            and not config.exact
-            and not config.strict_saturation
         ):
             kernels = native.load()
             if kernels is not None:
@@ -555,10 +547,6 @@ class SignatureUnit:
         self.stats.fills_ignored += total - kept
         if kept == 0:
             return
-        if self.config.exact:
-            for i in range(kept):
-                self._fill_one(core, int(blocks[i]), None if slots is None else int(slots[i]))
-            return
         idx = self._event_indices(blocks, slots)
         self.stats.fills_tracked += kept
         np.add.at(self.counters, idx, 1)
@@ -568,10 +556,6 @@ class SignatureUnit:
             over = self.counters > self.counter_max
             excess = int((self.counters[over] - self.counter_max).sum())
             self.stats.saturation_events += excess
-            if self.config.strict_saturation:
-                raise CounterSaturationError(
-                    f"{excess} counter saturation event(s) in fill batch"
-                )
             self.counters[over] = self.counter_max
         self._core_bits[core][idx] = True
 
@@ -597,10 +581,6 @@ class SignatureUnit:
         self.stats.evictions_ignored += total - kept
         if kept == 0:
             return
-        if self.config.exact:
-            for i in range(kept):
-                self._evict_one(int(blocks[i]), None if slots is None else int(slots[i]))
-            return
         idx = self._event_indices(blocks, slots)
         self.stats.evictions_tracked += kept
         np.subtract.at(self.counters, idx, 1)
@@ -609,10 +589,6 @@ class SignatureUnit:
             under = self.counters < 0
             deficit = int((-self.counters[under]).sum())
             self.stats.underflow_events += deficit
-            if self.config.strict_saturation:
-                raise CounterSaturationError(
-                    f"{deficit} counter underflow event(s) in eviction batch"
-                )
             self.counters[under] = 0
             remaining = self.counters[idx]
         # Clearing a bit twice equals clearing it once: no dedup needed.
@@ -627,55 +603,28 @@ class SignatureUnit:
         fill_slots: Optional[np.ndarray],
         evictions: np.ndarray,
         evict_slots: Optional[np.ndarray],
-        evict_fill_pos: Optional[np.ndarray] = None,
     ) -> None:
-        """Record one cache batch's fill+eviction events.
+        """Record one cache batch's fill+eviction events, fills first (see
+        module docstring).
 
-        In batched mode fills are applied before evictions (see module
-        docstring). In exact mode, *evict_fill_pos* (the fill index each
-        eviction preceded) is used to replay the true interleaving.
+        To follow the true event order, feed the cache one reference at a
+        time and record each access's eviction, then its fill, as two
+        calls.
 
-        Presence indexing gets its own exact *and* vectorised path: a
-        miss's eviction and fill hit the *same* entry (the slot), so the
-        generic fills-first batching would keep every reused slot's
-        counter above zero forever — but because a slot's fill/evict
-        counts commute, its end-of-batch state (and owner) is computable
-        without replaying the interleaving: a touched slot ends resident
-        iff its counter is positive, and then its sole owner is this
-        batch's filling core (the cache always evicts the previous
-        occupant before refilling a slot).
+        Presence indexing gets its own vectorised path: a miss's eviction
+        and fill hit the *same* entry (the slot), so the generic
+        fills-first batching would keep every reused slot's counter above
+        zero forever — but because a slot's fill/evict counts commute, its
+        end-of-batch state (and owner) is computable without replaying the
+        interleaving: a touched slot ends resident iff its counter is
+        positive, and then its sole owner is this batch's filling core
+        (the cache always evicts the previous occupant before refilling a
+        slot).
         """
         if self._cbf_events is not None:
             self._record_events_native(core, fills, evictions)
-        elif self._presence and not self.config.exact:
+        elif self._presence:
             self._record_events_presence(core, fills, fill_slots, evictions, evict_slots)
-        elif (
-            self.config.exact
-            and evict_fill_pos is not None
-            and len(evictions)
-        ):
-            fills = np.asarray(fills, dtype=np.int64)
-            evictions = np.asarray(evictions, dtype=np.int64)
-            pos = np.asarray(evict_fill_pos, dtype=np.int64)
-            e = 0
-            for f in range(len(fills)):
-                while e < len(evictions) and pos[e] == f:
-                    self.record_eviction_batch(
-                        evictions[e : e + 1],
-                        None if evict_slots is None else evict_slots[e : e + 1],
-                    )
-                    e += 1
-                self.record_fill_batch(
-                    core,
-                    fills[f : f + 1],
-                    None if fill_slots is None else fill_slots[f : f + 1],
-                )
-            while e < len(evictions):  # pragma: no cover - defensive
-                self.record_eviction_batch(
-                    evictions[e : e + 1],
-                    None if evict_slots is None else evict_slots[e : e + 1],
-                )
-                e += 1
         else:
             self.record_fill_batch(core, fills, fill_slots)
             self.record_eviction_batch(evictions, evict_slots)
@@ -768,52 +717,6 @@ class SignatureUnit:
             if not self._sticky:
                 self._core_bits[:, live_filled] = False
             self._core_bits[core][live_filled] = True
-
-    # ------------------------------------------------------------------
-    # event recording (exact scalar paths)
-    # ------------------------------------------------------------------
-    def _fill_one(self, core: int, block: int, slot: Optional[int]) -> None:
-        if self._presence:
-            if slot is None:
-                raise SignatureError("presence indexing requires slots")
-            indices = [int(self._slot_indices(np.asarray([slot]))[0])]
-        else:
-            indices = []
-            for h in self.hashes:
-                i = h.hash_one(block)
-                if i not in indices:
-                    indices.append(i)
-        self.stats.fills_tracked += 1
-        for i in indices:
-            if self.counters[i] >= self.counter_max:
-                self.stats.saturation_events += 1
-                if self.config.strict_saturation:
-                    raise CounterSaturationError(f"counter {i} saturated")
-            else:
-                self.counters[i] += 1
-            self._core_bits[core, i] = True
-
-    def _evict_one(self, block: int, slot: Optional[int]) -> None:
-        if self._presence:
-            if slot is None:
-                raise SignatureError("presence indexing requires slots")
-            indices = [int(self._slot_indices(np.asarray([slot]))[0])]
-        else:
-            indices = []
-            for h in self.hashes:
-                i = h.hash_one(block)
-                if i not in indices:
-                    indices.append(i)
-        self.stats.evictions_tracked += 1
-        for i in indices:
-            if self.counters[i] <= 0:
-                self.stats.underflow_events += 1
-                if self.config.strict_saturation:
-                    raise CounterSaturationError(f"counter {i} underflowed")
-            else:
-                self.counters[i] -= 1
-            if self.counters[i] == 0:
-                self._core_bits[:, i] = False
 
     # ------------------------------------------------------------------
     # context switches and queries

@@ -12,7 +12,6 @@ __all__ = [
     "ConfigurationError",
     "GeometryError",
     "SignatureError",
-    "CounterSaturationError",
     "SchedulingError",
     "AllocationError",
     "WorkloadError",
@@ -38,15 +37,6 @@ class GeometryError(ConfigurationError):
 
 class SignatureError(ReproError):
     """Invalid use of the Bloom-filter signature infrastructure."""
-
-
-class CounterSaturationError(SignatureError):
-    """A counting-Bloom-filter counter over/underflowed in strict mode.
-
-    The paper (footnote 1, Section 2.4) requires the counter width ``L`` to
-    be "wide enough to prevent saturation"; strict mode turns a saturation
-    event into this error instead of silently clamping.
-    """
 
 
 class SchedulingError(ReproError):

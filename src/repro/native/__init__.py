@@ -19,6 +19,14 @@ build`` as a child process and waits for it; the child's compiler time
 and memory stay out of the calling process. When that fails (no
 compiler, no cffi, a timeout), the process runs the numpy path and logs
 one warning naming the reason. :func:`describe` reports which path ran.
+
+A build child that exits with an error leaves its reason under
+``_build/``, keyed by the module name and the value of ``CC``, so later
+processes with the same key fall back at once instead of compiling
+again; their warning gives the recorded reason. ``python -m repro.native
+build`` always compiles, and a successful build removes the record of
+its ``CC``. A timeout, or a child that could not start or was killed,
+records nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ __all__ = [
     "SOURCE",
     "Kernels",
     "describe",
+    "failure_record",
     "load",
     "module_name",
     "module_path",
@@ -109,6 +118,13 @@ def module_path(name: Optional[str] = None) -> Path:
     return BUILD_DIR / ((name or module_name()) + _ext_suffix())
 
 
+def failure_record(name: str) -> Path:
+    """Where a failed build of module *name* under this process's ``CC``
+    leaves its reason."""
+    cc = hashlib.sha256(os.environ.get("CC", "").encode("utf-8"))
+    return BUILD_DIR / f"{name}-{cc.hexdigest()[:16]}.failed"
+
+
 def load() -> Optional[Kernels]:
     """The compiled kernels, built on first use; ``None`` selects numpy.
 
@@ -150,9 +166,18 @@ def _first_load() -> Tuple[Optional[Kernels], str]:
         return _fall_back("cffi is not installed")
     path = module_path(name)
     if not path.exists():
-        failure = _build_in_child()
-        if failure:
-            return _fall_back(failure)
+        record = failure_record(name)
+        try:
+            recorded = record.read_text(encoding="utf-8", errors="replace")
+        except OSError:  # no record: build
+            failure = _build_in_child(record)
+            if failure:
+                return _fall_back(failure)
+        else:
+            return _fall_back(
+                f"{recorded.strip()}; recorded in {record.name}, "
+                "`python -m repro.native build` retries"
+            )
     try:
         spec = importlib.util.spec_from_file_location(name, path)
         if spec is None or spec.loader is None:
@@ -164,8 +189,12 @@ def _first_load() -> Tuple[Optional[Kernels], str]:
     return Kernels(module.ffi, module.lib, path), ""
 
 
-def _build_in_child() -> str:
-    """Run the build command in a child process; '' or why it failed."""
+def _build_in_child(record: Path) -> str:
+    """Run the build command in a child process; '' or why it failed.
+
+    A child that exits with an error status leaves the reason in
+    *record* (best effort).
+    """
     env = dict(os.environ)
     # The child imports this copy of the package, wherever it came from.
     env["PYTHONPATH"] = os.pathsep.join(
@@ -184,10 +213,18 @@ def _build_in_child() -> str:
         return f"the build timed out after {BUILD_TIMEOUT_S:g} s"
     except OSError as exc:
         return f"the build could not start: {exc}"
-    if done.returncode != 0:
-        lines = (done.stderr or done.stdout).strip().splitlines()
-        return lines[-1] if lines else f"the build exited with {done.returncode}"
-    return ""
+    if done.returncode == 0:
+        return ""
+    lines = (done.stderr or done.stdout).strip().splitlines()
+    reason = lines[-1] if lines else f"the build exited with {done.returncode}"
+    if done.returncode > 0:  # a signal (say, out of memory) may not recur
+        from repro.fileio import publish  # only on this path: imports stay lean
+
+        try:
+            publish(record, reason.encode("utf-8"))
+        except OSError:
+            pass  # a read-only install: later processes build again
+    return reason
 
 
 def _fall_back(reason: str) -> Tuple[None, str]:

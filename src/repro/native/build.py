@@ -4,7 +4,8 @@ The module is compiled with ``-O2`` (no ``-march``, so it runs on any
 host of the same architecture) by the C compiler distutils picks, which
 honours ``CC``. It is compiled in a temporary directory and published
 into :data:`repro.native.BUILD_DIR` atomically, so processes that build
-at the same time each end with a complete, loadable file.
+at the same time each end with a complete, loadable file. Publishing
+removes the failure record an earlier build under the same ``CC`` left.
 """
 
 from __future__ import annotations
@@ -39,4 +40,5 @@ def build() -> Path:
     # publish() writes owner-only files; other users of an installed copy
     # must be able to load the module too.
     target.chmod(0o644)
+    native.failure_record(name).unlink(missing_ok=True)
     return target

@@ -15,10 +15,9 @@
  * lowest empty way, stamp 0, else the least recently used one) and
  * writes the requesting core as the line's owner.
  *
- * out is one (5, n) buffer: row 0 the filled blocks, row 1 their slots
- * (set * ways + way), row 2 the evicted blocks, row 3 their slots and
- * row 4 the fill each eviction made room for, all in access order.
- * counts receives (fills, evictions).
+ * out is one (4, n) buffer: row 0 the filled blocks, row 1 their slots
+ * (set * ways + way), row 2 the evicted blocks and row 3 their slots,
+ * all in access order. counts receives (fills, evictions).
  *
  * A batch holding a negative block is rejected before any state moves:
  * the return value is then -1 and counts[0] the batch's minimum.
@@ -31,7 +30,6 @@ int64_t lru_batch(int64_t *tags, int64_t *stamps, int64_t *owner,
     int64_t i, w, fills = 0, evictions = 0, lowest = 0;
     int64_t *fill_blocks = out, *fill_slots = out + n;
     int64_t *evict_blocks = out + 2 * n, *evict_slots = out + 3 * n;
-    int64_t *evict_fill_pos = out + 4 * n;
 
     for (i = 0; i < n; i++)
         if (blocks[i] < lowest)
@@ -63,7 +61,6 @@ int64_t lru_batch(int64_t *tags, int64_t *stamps, int64_t *owner,
         if (old >= 0) {
             evict_blocks[evictions] = old;
             evict_slots[evictions] = slot;
-            evict_fill_pos[evictions] = fills;
             evictions++;
         }
         tags[slot] = block;

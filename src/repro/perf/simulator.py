@@ -373,7 +373,6 @@ class MulticoreSimulator:
                         result.fill_slots,
                         result.evictions,
                         result.evict_slots,
-                        result.evict_fill_pos,
                     )
                 if prof is not None:
                     t3 = perf_counter()  # repro: noqa[RPR601]

@@ -50,14 +50,6 @@ class TestBasicBehaviour:
         assert r3.evict_slots[0] == r1.fill_slots[0]
         assert r3.fill_slots[0] == r1.fill_slots[0]
 
-    def test_evict_fill_pos_alignment(self):
-        c = small_cache(sets=1, ways=1)
-        r = c.access_batch(0, np.array([0, 1, 2]))
-        # Access 0 fills cold; accesses 1 and 2 each evict before filling.
-        assert r.fills.tolist() == [0, 1, 2]
-        assert r.evictions.tolist() == [0, 1]
-        assert r.evict_fill_pos.tolist() == [1, 2]
-
     def test_invalid_core_rejected(self):
         c = small_cache(cores=2)
         with pytest.raises(ConfigurationError):

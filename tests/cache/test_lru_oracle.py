@@ -30,7 +30,7 @@ class OracleLRU:
 
     def access_batch(self, core, blocks):
         hits, fills, fill_slots = 0, [], []
-        evictions, evict_slots, evict_fill_pos = [], [], []
+        evictions, evict_slots = [], []
         for block in blocks:
             s = block % self.sets
             lines = self.lines[s]
@@ -43,7 +43,6 @@ class OracleLRU:
                 victim, (way, _) = lines.popitem(last=False)
                 evictions.append(victim)
                 evict_slots.append(s * self.ways + way)
-                evict_fill_pos.append(len(fills))
             else:
                 way = len(lines)
             lines[block] = (way, core)
@@ -56,7 +55,6 @@ class OracleLRU:
             "fill_slots": fill_slots,
             "evictions": evictions,
             "evict_slots": evict_slots,
-            "evict_fill_pos": evict_fill_pos,
         }
 
     def contains(self, block):
@@ -144,9 +142,7 @@ class TestBatchesAgainstOracle:
                 want = oracle.access_batch(core, blocks)
                 assert got.hits == want["hits"]
                 assert got.misses == want["misses"]
-                for name in (
-                    "fills", "fill_slots", "evictions", "evict_slots", "evict_fill_pos"
-                ):
+                for name in ("fills", "fill_slots", "evictions", "evict_slots"):
                     field = getattr(got, name)
                     assert field.dtype == np.int64, name
                     assert field.tolist() == want[name], name

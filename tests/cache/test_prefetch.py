@@ -67,8 +67,7 @@ class TestPrefetchingCache:
         )
         result = cache.access_batch(0, np.array([10, 50]))
         unit.record_events(
-            0, result.fills, result.fill_slots, result.evictions,
-            result.evict_slots, result.evict_fill_pos,
+            0, result.fills, result.fill_slots, result.evictions, result.evict_slots
         )
         # Demand + prefetch fills are all tracked.
         assert unit.stats.fills_tracked == len(result.fills) == 4

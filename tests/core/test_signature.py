@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.signature import SignatureConfig, SignatureUnit
-from repro.errors import ConfigurationError, CounterSaturationError, SignatureError
+from repro.errors import ConfigurationError, SignatureError
 
 
 def make_unit(**kwargs):
@@ -95,11 +95,6 @@ class TestFillEvict:
         assert unit.stats.underflow_events == 1
         assert (unit.counters >= 0).all()
 
-    def test_strict_underflow_raises(self):
-        unit = make_unit(strict_saturation=True)
-        with pytest.raises(CounterSaturationError):
-            unit.record_eviction_batch(np.array([42]))
-
     def test_saturation_counted_and_clamped(self):
         unit = make_unit(counter_bits=1)
         block = np.array([7])
@@ -107,12 +102,6 @@ class TestFillEvict:
         unit.record_fill_batch(0, block)
         assert unit.stats.saturation_events == 1
         assert unit.counters.max() == 1
-
-    def test_strict_saturation_raises(self):
-        unit = make_unit(counter_bits=1, strict_saturation=True)
-        unit.record_fill_batch(0, np.array([7]))
-        with pytest.raises(CounterSaturationError):
-            unit.record_fill_batch(0, np.array([7]))
 
 
 class TestContextSwitch:
@@ -221,40 +210,6 @@ class TestSampling:
         assert unit.total_occupancy() == 0
         unit.record_eviction_batch(np.array([1]))  # unsampled: ignored
         assert unit.stats.underflow_events == 0
-
-
-class TestExactVsBatched:
-    def test_single_event_batches_identical(self):
-        rng = np.random.default_rng(0)
-        blocks = rng.integers(0, 1 << 30, 400)
-        exact = make_unit(exact=True)
-        fast = make_unit(exact=False)
-        for b in blocks:
-            exact.record_fill_batch(0, np.array([b]))
-            fast.record_fill_batch(0, np.array([b]))
-        # Interleave evictions of half the blocks.
-        for b in blocks[::2]:
-            exact.record_eviction_batch(np.array([b]))
-            fast.record_eviction_batch(np.array([b]))
-        assert np.array_equal(exact.counters, fast.counters)
-        assert exact.core_filters[0] == fast.core_filters[0]
-        s_e = exact.on_context_switch(0)
-        s_f = fast.on_context_switch(0)
-        assert s_e.occupancy == s_f.occupancy
-        assert np.array_equal(s_e.symbiosis, s_f.symbiosis)
-
-    def test_batched_close_to_exact_statistically(self):
-        rng = np.random.default_rng(1)
-        blocks = rng.integers(0, 1 << 20, 2000)
-        evicts = blocks[rng.permutation(len(blocks))][:1000]
-        exact = make_unit(exact=True)
-        fast = make_unit(exact=False)
-        for unit in (exact, fast):
-            unit.record_fill_batch(0, blocks)
-            unit.record_eviction_batch(evicts)
-        occ_e = exact.core_occupancy(0)
-        occ_f = fast.core_occupancy(0)
-        assert abs(occ_e - occ_f) <= 0.05 * max(occ_e, 1)
 
 
 class TestMultipleHashes:

@@ -10,10 +10,11 @@ when the counter is zero) — and the context-switch sample
 counter once. Small filters, 1- to 3-bit counters and block pools of a
 few addresses make batches saturate and underflow.
 
-Two paths are checked: the batches the simulator runs, on the compiled
-kernel (which every k = 1 configuration here takes) and on the numpy
-code, and the ``exact=True`` scalar path fed one event per call. Events
-arrive as plain lists, as well as the int64 arrays the cache produces.
+Both engines are checked, the compiled kernel (which every k = 1
+configuration here takes) and the numpy code: on the batches the
+simulator runs, and fed one event per call, which is the true event
+order ("exact" below). Events arrive as plain lists, as well as the
+int64 arrays the cache produces.
 """
 
 import dataclasses
@@ -223,18 +224,19 @@ def test_exact_path_matches_the_per_event_model(
         ways=2,
         counter_bits=counter_bits,
         num_hashes=num_hashes,
-        exact=True,
     )
-    unit = SignatureUnit(config)
-    ref = NaiveUnit(cores, unit.num_entries, counter_bits, num_hashes)
-    for kind, core, block in events:
-        if kind == "switch":
-            _assert_same_sample(unit, ref, core)
-        else:
-            fills, evictions = ([block], []) if kind == "fill" else ([], [block])
-            unit.record_events(core, fills, None, evictions, None)
-            ref.record(core, fills, evictions)
-        _assert_same_state(unit, ref)
+    for engine in available_engines():
+        with on_engine(engine):
+            unit = SignatureUnit(config)
+        ref = NaiveUnit(cores, unit.num_entries, counter_bits, num_hashes)
+        for kind, core, block in events:
+            if kind == "switch":
+                _assert_same_sample(unit, ref, core)
+            else:
+                fills, evictions = ([block], []) if kind == "fill" else ([], [block])
+                unit.record_events(core, fills, None, evictions, None)
+                ref.record(core, fills, evictions)
+            _assert_same_state(unit, ref)
 
 
 def _assert_same_sample(unit, ref, core):

@@ -177,26 +177,6 @@ class TestPhase1Pipeline:
         assert stats.context_switches > 0
         assert stats.evictions_tracked <= stats.fills_tracked
 
-    def test_exact_and_batched_signatures_agree_on_decisions(self):
-        def majority(exact):
-            monitor = UserLevelMonitor(WeightSortPolicy(), interval_cycles=400_000.0)
-            sim = MulticoreSimulator(
-                mini_machine(),
-                self.make_tasks(),
-                signature_config=SignatureConfig(
-                    num_cores=2, num_sets=128, ways=8, exact=exact
-                ),
-                monitor=monitor,
-                scheduler_config=mini_sched(),
-            )
-            return sim.run(min_wall_cycles=4_000_000.0).majority_mapping
-
-        # Task tids differ between runs, so compare group *names* via sizes.
-        a, b = majority(False), majority(True)
-        assert sorted(len(g) for g in a.groups) == sorted(
-            len(g) for g in b.groups
-        )
-
 
 class TestAllMappingsInvariants:
     def test_mapping_times_positive_and_complete(self):

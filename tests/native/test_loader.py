@@ -3,7 +3,8 @@
 Importing the package must build and write nothing; the first cache or
 signature unit of a process loads the module, building it in a child
 process if needed; a failed build leaves the process on the numpy path
-with one warning; and builds that race each publish a whole module.
+with one warning, and a record that spares later processes with the same
+``CC`` the build; and builds that race each publish a whole module.
 """
 
 import logging
@@ -86,10 +87,87 @@ def test_a_failed_build_falls_back_to_numpy_with_one_warning(
     assert len(warnings) == 1
     assert "build failed" in warnings[0].getMessage()
     assert native.describe().startswith("numpy (repro.native: build failed")
-    assert list(tmp_path.iterdir()) == []
+    # No module; only the failure record for this CC.
+    record = native.failure_record(native.module_name())
+    assert list(tmp_path.iterdir()) == [record]
     # The numpy path still simulates.
     result = cache.access_batch(0, np.array([1, 5, 1]))
     assert (result.hits, result.misses) == (1, 2)
+
+
+def _count_children(monkeypatch):
+    """Count the build children a load spawns from now on."""
+    calls = []
+    run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    return calls
+
+
+def _load_in_a_new_process(monkeypatch, caplog):
+    """Load as a fresh process would; returns its repro.native warnings."""
+    monkeypatch.setattr(native, "_outcome", None)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="repro.native"):
+        assert native.load() is None
+    return [r.getMessage() for r in caplog.records if r.name == "repro.native"]
+
+
+def test_a_recorded_failure_spares_later_processes_the_build(
+    tmp_path, monkeypatch, caplog
+):
+    monkeypatch.setattr(native, "BUILD_DIR", tmp_path)
+    monkeypatch.setenv("CC", "false")
+    calls = _count_children(monkeypatch)
+    [first] = _load_in_a_new_process(monkeypatch, caplog)
+    assert len(calls) == 1
+    reason = native.describe()[len("numpy ("):-1]
+    assert reason.startswith("repro.native: build failed")
+    record = native.failure_record(native.module_name())
+    assert record.read_text(encoding="utf-8") == reason
+    # The next process with the same CC spawns no child and warns once,
+    # with the recorded reason and how to retry.
+    [second] = _load_in_a_new_process(monkeypatch, caplog)
+    assert len(calls) == 1
+    assert reason in second and reason in first
+    assert "python -m repro.native build` retries" in second
+    # Another CC is another key: it builds again, and records its own.
+    monkeypatch.setenv("CC", shutil.which("false"))
+    _load_in_a_new_process(monkeypatch, caplog)
+    assert len(calls) == 2
+    assert native.failure_record(native.module_name()) != record
+    assert len(list(tmp_path.glob("*.failed"))) == 2
+
+
+def test_a_child_that_cannot_run_records_nothing(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(native, "BUILD_DIR", tmp_path)
+    monkeypatch.setattr(native.sys, "executable", str(tmp_path / "no-python"))
+    [warning] = _load_in_a_new_process(monkeypatch, caplog)
+    assert "the build could not start" in warning
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_successful_explicit_build_clears_the_record(tmp_path, monkeypatch):
+    _needs_a_compiler()
+    # A failure recorded under this process's CC (a compiler since fixed).
+    monkeypatch.setattr(native, "BUILD_DIR", tmp_path)
+    native.failure_record(native.module_name()).write_text("earlier failure")
+    # The explicit build compiles whatever is recorded, and clears it.
+    done = _python(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from repro import native\n"
+        "native.BUILD_DIR = Path(sys.argv[1])\n"
+        "from repro.native.build import build\n"
+        "print(build())\n",
+        str(tmp_path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert [p.name for p in tmp_path.iterdir()] == [Path(done.stdout.strip()).name]
 
 
 def test_concurrent_builds_each_publish_a_loadable_module(tmp_path):
