@@ -119,18 +119,23 @@ class HotColdGenerator(TraceGenerator):
     def _generate(self, n: int) -> np.ndarray:
         # Single inverse-CDF draw: u < f maps into the hot region, the rest
         # maps uniformly over the whole region. One stream draw per access
-        # keeps the sequence invariant under batch splitting.
+        # keeps the sequence invariant under batch splitting. Both
+        # branches are computed over the whole draw and one is picked per
+        # reference; f = 0 and f = 1 have one branch each, which keeps the
+        # other's division by zero out.
         u = self._rng.random(n)
         f = self.hot_fraction
-        out = np.empty(n, dtype=np.int64)
-        hot = u < f
-        if f > 0.0:
-            out[hot] = (u[hot] / f * self.hot_blocks).astype(np.int64)
-        cold = ~hot
-        if f < 1.0:
-            out[cold] = ((u[cold] - f) / (1.0 - f) * self.region_blocks).astype(
-                np.int64
+        if f == 0.0:
+            scaled = (u - f) / (1.0 - f) * self.region_blocks
+        elif f == 1.0:
+            scaled = u / f * self.hot_blocks
+        else:
+            scaled = np.where(
+                u < f,
+                u / f * self.hot_blocks,
+                (u - f) / (1.0 - f) * self.region_blocks,
             )
+        out = scaled.astype(np.int64)
         # Both branches are >= 0 by construction; only float rounding up
         # to the region size needs clamping.
         np.minimum(out, self.region_blocks - 1, out=out)

@@ -100,6 +100,28 @@ class TestHotCold:
         with pytest.raises(WorkloadError):
             HotColdGenerator(10, 5, hot_fraction=1.5)
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+    def test_draw_equals_the_masked_formula(self, fraction):
+        # The hot and cold branches written as two masked gathers and
+        # scatters over the same uniform draw.
+        def masked(u):
+            out = np.empty(len(u), dtype=np.int64)
+            hot = u < fraction
+            if fraction > 0.0:
+                out[hot] = (u[hot] / fraction * 37).astype(np.int64)
+            cold = ~hot
+            if fraction < 1.0:
+                out[cold] = (
+                    (u[cold] - fraction) / (1.0 - fraction) * 1000
+                ).astype(np.int64)
+            return np.minimum(out, 999)
+
+        gen = HotColdGenerator(1000, 37, hot_fraction=fraction, seed=5)
+        draws = np.random.default_rng(5)
+        with np.errstate(all="raise"):  # no division by zero at 0 or 1
+            for n in (1, 255, 8192):
+                assert np.array_equal(gen._generate(n), masked(draws.random(n)))
+
 
 class TestPointerChase:
     def test_covers_region_exactly_once_per_lap(self):
